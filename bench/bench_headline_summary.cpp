@@ -18,7 +18,6 @@
 #include "common/artifact.h"
 #include "common/sharded_executor.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "common/topology.h"
 #include "workload/diurnal.h"
 
@@ -129,15 +128,12 @@ ServiceSummary run_search() {
   return s;
 }
 
-/// Query fan-out latency of the exact path under the three dispatch modes:
-/// sequential, the global ThreadPool, and the topology-aware
-/// ShardedExecutor (per-node heaps + home-group dispatch; components built
-/// node-locally). On single-node hardware the executor degrades to one
-/// group, and AT_REQUIRE_FANOUT_PARITY turns that into a CI no-regression
-/// guard against the global pool.
+/// Query fan-out latency of the exact path under the two dispatch modes:
+/// sequential and the topology-aware ShardedExecutor (per-node heaps +
+/// home-group dispatch; components built node-locally). On single-node
+/// hardware the executor degrades to one group.
 struct FanoutLatency {
   double sequential_us = 0.0;
-  double pool_us = 0.0;
   double sharded_us = 0.0;
   std::size_t groups = 1;
   std::string topology;
@@ -170,28 +166,17 @@ FanoutLatency run_fanout() {
 
   out.sharded_us = measure(&check_ref);
   fx.service->set_executor(nullptr);
-  fx.service->set_pool(nullptr);
   double check = 0.0;
   out.sequential_us = measure(&check);
   if (check != check_ref) {
     std::cerr << "FAIL: sharded fan-out results diverge from sequential\n";
     std::exit(1);
   }
-  common::ThreadPool pool;
-  fx.service->set_pool(&pool);
-  out.pool_us = measure(&check);
-  if (check != check_ref) {
-    std::cerr << "FAIL: pooled fan-out results diverge from sequential\n";
-    std::exit(1);
-  }
-  fx.service->set_pool(nullptr);
 
   common::TableWriter table("Exact query fan-out latency (us/query)");
   table.set_columns({"dispatch", "us/query", "notes"});
   table.add_row({"sequential", common::TableWriter::fmt(out.sequential_us, 1),
                  "one thread, component order"});
-  table.add_row({"global pool", common::TableWriter::fmt(out.pool_us, 1),
-                 "parallel_for over components"});
   table.add_row({"sharded executor",
                  common::TableWriter::fmt(out.sharded_us, 1),
                  out.topology + ", per-node heaps"});
@@ -239,7 +224,6 @@ void write_json(const ServiceSummary& cf, const ServiceSummary& se,
      << "    \"topology\": \"" << fan.topology << "\",\n"
      << "    \"groups\": " << fan.groups << ",\n"
      << "    \"sequential_us_per_query\": " << fan.sequential_us << ",\n"
-     << "    \"global_pool_us_per_query\": " << fan.pool_us << ",\n"
      << "    \"sharded_us_per_query\": " << fan.sharded_us << "\n  },\n";
   service("cf_recommender", cf, false);
   service("web_search", se, true);
@@ -304,26 +288,5 @@ int main() {
   snapshot_line("search", se);
   const auto fan = run_fanout();
   write_json(cf, se, fan);
-
-  // CI guard: with AT_REQUIRE_FANOUT_PARITY set (e.g. 1.25), the sharded
-  // executor's per-query latency must stay within that factor of the
-  // global thread pool's. On a single-node runner the executor runs one
-  // group, so this pins the "no regression in the fallback" acceptance;
-  // on multi-node hardware it additionally catches dispatch overhead
-  // swamping the locality win.
-  if (const char* bound_env = std::getenv("AT_REQUIRE_FANOUT_PARITY")) {
-    const double bound = std::atof(bound_env);
-    const double ratio =
-        fan.pool_us > 0.0 ? fan.sharded_us / fan.pool_us : 0.0;
-    if (!(bound > 0.0) || ratio > bound) {
-      std::cerr << "FAIL: sharded/pool fan-out latency ratio "
-                << common::TableWriter::fmt(ratio, 3) << " exceeds bound "
-                << bound_env << " (" << fan.topology << ")\n";
-      return 1;
-    }
-    std::cout << "  fan-out parity guard OK: sharded/pool "
-              << common::TableWriter::fmt(ratio, 3) << " <= " << bound_env
-              << "\n";
-  }
   return 0;
 }

@@ -54,6 +54,23 @@ void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   out.insert(out.end(), b, b + sizeof v);
 }
 
+/// Four header bytes for an error message: printable ASCII verbatim,
+/// anything else as \xNN.
+std::string printable_magic(const char magic[4]) {
+  std::string out;
+  for (int i = 0; i < 4; ++i) {
+    const auto c = static_cast<unsigned char>(magic[i]);
+    if (std::isprint(c)) {
+      out += static_cast<char>(c);
+    } else {
+      char hex[5];
+      std::snprintf(hex, sizeof hex, "\\x%02X", c);
+      out += hex;
+    }
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // Shuffle-codec plane coding
 // ---------------------------------------------------------------------------
@@ -638,7 +655,9 @@ ArtifactReader::ArtifactReader(std::istream& is, const char kind[4])
   char magic[4];
   read_exact(is_, magic, 4, "container magic");
   if (std::memcmp(magic, kContainerMagic, 4) != 0)
-    throw ArtifactError("artifact: bad container magic");
+    throw ArtifactError("artifact: bad container magic '" +
+                        printable_magic(magic) +
+                        "' (pre-ATAC formats are no longer read)");
   std::uint32_t container_version;
   read_exact(is_, &container_version, sizeof container_version,
              "container version");
@@ -706,36 +725,6 @@ void ArtifactReader::finish() {
   read_exact(is_, &crc, sizeof crc, "end marker crc");
   if (len != 0 || crc != 0)
     throw ArtifactError("artifact: malformed end marker");
-}
-
-bool next_is_artifact(std::istream& is) {
-  char magic[4];
-  const auto pos = is.tellg();
-  if (pos != std::istream::pos_type(-1)) {
-    is.read(magic, 4);
-    const bool got4 = is.gcount() == 4;
-    is.clear();
-    is.seekg(pos);
-    if (!is)
-      throw ArtifactError("artifact: could not rewind stream");
-    return got4 && std::memcmp(magic, kContainerMagic, 4) == 0;
-  }
-  // Non-seekable stream (pipe, filtering buffer): peek by get + putback —
-  // buffered stream implementations accept putback of just-read chars.
-  is.clear();
-  int got = 0;
-  while (got < 4) {
-    const int c = is.get();
-    if (c == std::istream::traits_type::eof()) break;
-    magic[got++] = static_cast<char>(c);
-  }
-  is.clear();
-  for (int i = got - 1; i >= 0; --i) {
-    is.putback(magic[i]);
-    if (!is)
-      throw ArtifactError("artifact: could not unread magic bytes");
-  }
-  return got == 4 && std::memcmp(magic, kContainerMagic, 4) == 0;
 }
 
 }  // namespace at::common

@@ -280,6 +280,8 @@ class ArtifactReader {
  public:
   /// Reads and validates the container header; throws ArtifactError when
   /// the stream is not an artifact container or is of a different kind.
+  /// A bad magic error names the four bytes found, so a pre-ATAC file
+  /// ("ATSR", "ATMX", ...) is reported as a retired format.
   ArtifactReader(std::istream& is, const char kind[4]);
 
   std::uint32_t version() const { return version_; }
@@ -296,11 +298,5 @@ class ArtifactReader {
   std::istream& is_;
   std::uint32_t version_ = 0;
 };
-
-/// True when the next four bytes of `is` are the artifact container magic
-/// (stream position restored) — the dispatch point between the container
-/// readers and the pre-container legacy formats. Requires a seekable
-/// stream, which every artifact source (files, string streams) is.
-bool next_is_artifact(std::istream& is);
 
 }  // namespace at::common

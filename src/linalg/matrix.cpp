@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/artifact.h"
-#include "common/binary_io.h"
 #include "common/simd.h"
 
 namespace at::linalg {
@@ -62,20 +61,6 @@ void save(std::ostream& os, const Matrix& m, common::Codec codec) {
 }
 
 Matrix load_matrix(std::istream& is) {
-  if (!common::next_is_artifact(is)) {
-    // Legacy "ATMX" v1: raw row-major doubles.
-    common::BinaryReader r(is);
-    if (r.magic("ATMX") != 1)
-      throw std::runtime_error("load_matrix: unsupported legacy version");
-    const auto rows = r.u64();
-    const auto cols = r.u64();
-    check_loaded_dims(rows, cols);
-    Matrix m(rows, cols);
-    for (std::size_t i = 0; i < rows; ++i) {
-      for (std::size_t j = 0; j < cols; ++j) m(i, j) = r.f64();
-    }
-    return m;
-  }
   common::ArtifactReader r(is, "MATX");
   if (r.version() != 1)
     throw common::ArtifactError("load_matrix: unsupported version");

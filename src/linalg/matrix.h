@@ -101,8 +101,7 @@ struct SparseDataset {
 };
 
 /// Artifact-store persistence (kind "MATX"): chunked + checksummed, the
-/// element column through any of the exact f64 codecs. The loader also
-/// accepts the legacy "ATMX" v1 raw-double stream.
+/// element column through any of the exact f64 codecs.
 void save(std::ostream& os, const Matrix& m,
           common::Codec codec = common::default_codec());
 Matrix load_matrix(std::istream& is);

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "common/artifact.h"
-#include "common/binary_io.h"
 #include "common/simd.h"
 
 namespace at::linalg {
@@ -599,20 +598,6 @@ void save(std::ostream& os, const SvdModel& model, common::Codec codec) {
 }
 
 SvdModel load_svd_model(std::istream& is) {
-  if (!common::next_is_artifact(is)) {
-    // Legacy "ATSV" v1: scalars + raw bias vectors, then legacy matrices.
-    common::BinaryReader r(is);
-    if (r.magic("ATSV") != 1)
-      throw std::runtime_error("load_svd_model: unsupported legacy version");
-    SvdModel model;
-    model.train_rmse = r.f64();
-    model.global_mean = r.f64();
-    model.row_bias = r.vec_f64();
-    model.col_bias = r.vec_f64();
-    model.row_factors = load_matrix(is);
-    model.col_factors = load_matrix(is);
-    return model;
-  }
   common::ArtifactReader r(is, "SVDM");
   if (r.version() != 1)
     throw common::ArtifactError("load_svd_model: unsupported version");

@@ -78,7 +78,7 @@ struct SvdModel {
 
 /// Artifact-store persistence of a model (kind "SVDM"): biases and both
 /// factor matrices go through the chosen f64 codec, every chunk is
-/// CRC-checked. The loader also accepts the legacy "ATSV" v1 stream.
+/// CRC-checked.
 void save(std::ostream& os, const SvdModel& model,
           common::Codec codec = common::default_codec());
 SvdModel load_svd_model(std::istream& is);

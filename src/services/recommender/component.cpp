@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "common/binary_io.h"
 #include "synopsis/serialize.h"
 
 namespace at::reco {
@@ -289,27 +288,6 @@ void RecommenderComponent::adopt(RecommenderComponent&& fresh) {
 }
 
 RecommenderComponent RecommenderComponent::load(std::istream& is) try {
-  if (!common::next_is_artifact(is)) {
-    // Legacy "ATRC" v1 snapshot.
-    common::BinaryReader r(is);
-    if (r.magic("ATRC") != 1)
-      throw std::runtime_error(
-          "RecommenderComponent::load: unsupported legacy version");
-    synopsis::BuildConfig config;
-    config.svd.rank = r.u64();
-    config.svd.epochs_per_dim = r.u64();
-    config.svd.learning_rate = r.f64();
-    config.svd.regularization = r.f64();
-    config.size_ratio = r.f64();
-    config.min_groups = r.u64();
-    auto users = synopsis::load_sparse_rows(is);
-    auto structure = synopsis::load_structure(is);
-    auto synopsis = synopsis::load_synopsis(is);
-    return RecommenderComponent(
-        RecommenderBuilder(std::move(users), config, std::move(structure),
-                           std::move(synopsis)),
-        nullptr);
-  }
   common::ArtifactReader r(is, "RCMP");
   if (r.version() != 1)
     throw common::ArtifactError(
@@ -334,7 +312,7 @@ RecommenderComponent RecommenderComponent::load(std::istream& is) try {
 } catch (const common::ArtifactError&) {
   throw;
 } catch (const std::exception& e) {
-  // Every load failure — truncated stream, bad legacy header, decoder
+  // Every load failure — truncated stream, bad header, decoder
   // error mid-chunk — surfaces as the artifact layer's structured error.
   throw common::ArtifactError(std::string("RecommenderComponent::load: ") +
                               e.what());

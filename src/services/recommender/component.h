@@ -195,7 +195,6 @@ class RecommenderComponent {
             common::Codec codec = common::default_codec()) const {
     snapshot()->save(os, codec);
   }
-  /// Also accepts the legacy "ATRC" v1 snapshot.
   static RecommenderComponent load(std::istream& is);
 
  private:

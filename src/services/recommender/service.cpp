@@ -37,20 +37,11 @@ common::EpochStats CfService::epoch_stats() const {
   return total;
 }
 
-void CfService::set_pool(common::ThreadPool* pool) {
-  pool_ = pool;
-  if (exec_ != nullptr) return;  // executor assignment wins until cleared
-  for (auto& c : components_) c.set_pool(pool);
-}
-
 void CfService::set_executor(common::ShardedExecutor* exec) {
   exec_ = exec;
-  if (exec_ != nullptr) {
-    for (std::size_t c = 0; c < components_.size(); ++c)
-      components_[c].set_pool(&exec_->group(exec_->home_group(c)));
-  } else {
-    for (auto& c : components_) c.set_pool(pool_);
-  }
+  for (std::size_t c = 0; c < components_.size(); ++c)
+    components_[c].set_pool(
+        exec_ != nullptr ? &exec_->group(exec_->home_group(c)) : nullptr);
 }
 
 synopsis::UpdateReport CfService::update_component(
@@ -75,8 +66,6 @@ void CfService::for_each_component(
     // Topology path: each component analyzes on its home group; the
     // callers' merges stay in component order, so results are identical.
     exec_->for_each_shard_grouped(components_.size(), fn);
-  } else if (pool_ != nullptr && components_.size() > 1) {
-    pool_->parallel_for(components_.size(), fn);
   } else {
     for (std::size_t c = 0; c < components_.size(); ++c) fn(c);
   }

@@ -49,19 +49,13 @@ class CfService {
   /// Aggregated epoch counters across all components.
   common::EpochStats epoch_stats() const;
 
-  /// Installs a thread pool: per-component request analysis and synopsis
-  /// updates fan out across it. Partial results merge in component order,
-  /// so predictions are identical to the sequential path. The caller owns
-  /// the pool's lifetime; pass nullptr to go sequential.
-  void set_pool(common::ThreadPool* pool);
-
-  /// Installs a topology-aware executor (overrides any set_pool): each
-  /// component is homed on one executor group (round-robin), its synopsis
-  /// updates run on that group's pinned pool, and request fan-out
-  /// dispatches every component to its home group. Partial results still
-  /// merge in component order, so predictions are bit-identical to the
-  /// sequential path. Caller owns the executor's lifetime; pass nullptr to
-  /// fall back to the plain pool.
+  /// Installs a topology-aware executor: each component is homed on one
+  /// executor group (round-robin), its synopsis updates run on that
+  /// group's pinned pool, and request fan-out dispatches every component
+  /// to its home group. Partial results merge in component order, so
+  /// predictions are bit-identical to the sequential path. Caller owns the
+  /// executor's lifetime; pass nullptr to run every component
+  /// sequentially on the calling thread.
   void set_executor(common::ShardedExecutor* exec);
   common::ShardedExecutor* executor() const { return exec_; }
 
@@ -95,14 +89,14 @@ class CfService {
                                 ComponentOutcome outcome) const;
 
  private:
-  /// Runs fn(c) for every component, on the pool when installed.
+  /// Runs fn(c) for every component: on its home group when an executor
+  /// is installed, else sequentially in component order.
   void for_each_component(
       const std::function<void(std::size_t)>& fn) const;
 
   std::vector<RecommenderComponent> components_;
   double min_rating_;
   double max_rating_;
-  common::ThreadPool* pool_ = nullptr;
   common::ShardedExecutor* exec_ = nullptr;
 };
 

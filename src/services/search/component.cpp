@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "common/binary_io.h"
 #include "core/algorithm1.h"
 #include "synopsis/serialize.h"
 
@@ -323,32 +322,6 @@ void SearchComponent::adopt(SearchComponent&& fresh) {
 }
 
 SearchComponent SearchComponent::load(std::istream& is) try {
-  if (!common::next_is_artifact(is)) {
-    // Legacy "ATSC" v1 snapshot.
-    common::BinaryReader r(is);
-    if (r.magic("ATSC") != 1)
-      throw std::runtime_error(
-          "SearchComponent::load: unsupported legacy version");
-    const auto doc_id_base = r.u64();
-    synopsis::BuildConfig config;
-    config.svd.rank = r.u64();
-    config.svd.epochs_per_dim = r.u64();
-    config.svd.learning_rate = r.f64();
-    config.svd.regularization = r.f64();
-    config.size_ratio = r.f64();
-    config.min_groups = r.u64();
-    ScorerParams scorer;
-    scorer.scorer = r.u8() != 0 ? Scorer::kBm25 : Scorer::kTfIdf;
-    scorer.bm25_k1 = r.f64();
-    scorer.bm25_b = r.f64();
-    auto docs = synopsis::load_sparse_rows(is);
-    auto structure = synopsis::load_structure(is);
-    auto synopsis = synopsis::load_synopsis(is);
-    return SearchComponent(
-        SearchBuilder(std::move(docs), doc_id_base, config, scorer,
-                      std::move(structure), std::move(synopsis)),
-        nullptr);
-  }
   common::ArtifactReader r(is, "SCMP");
   if (r.version() != 1)
     throw common::ArtifactError("SearchComponent::load: unsupported version");
@@ -377,7 +350,7 @@ SearchComponent SearchComponent::load(std::istream& is) try {
 } catch (const common::ArtifactError&) {
   throw;
 } catch (const std::exception& e) {
-  // Every load failure — truncated stream, bad legacy header, decoder
+  // Every load failure — truncated stream, bad header, decoder
   // error mid-chunk — surfaces as the artifact layer's structured error.
   throw common::ArtifactError(std::string("SearchComponent::load: ") +
                               e.what());

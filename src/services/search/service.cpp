@@ -75,27 +75,14 @@ IndexSizeStats SearchService::index_size() const {
   return total;
 }
 
-void SearchService::enable_query_cache(std::size_t capacity) {
-  cache_ = std::make_unique<QueryCache>(capacity);
-}
-
-void SearchService::set_pool(common::ThreadPool* pool) {
-  pool_ = pool;
-  if (exec_ != nullptr) return;  // executor assignment wins until cleared
-  for (auto& c : components_) c.set_pool(pool);
-}
-
 void SearchService::set_executor(common::ShardedExecutor* exec) {
   exec_ = exec;
-  if (exec_ != nullptr) {
-    // Each component's internal parallelism (synopsis updates, rebuilds)
-    // runs on its home node's pinned pool, so the shard's pages stay
-    // node-local as the data evolves.
-    for (std::size_t c = 0; c < components_.size(); ++c)
-      components_[c].set_pool(&exec_->group(exec_->home_group(c)));
-  } else {
-    for (auto& c : components_) c.set_pool(pool_);
-  }
+  // Each component's internal parallelism (synopsis updates, rebuilds)
+  // runs on its home node's pinned pool, so the shard's pages stay
+  // node-local as the data evolves.
+  for (std::size_t c = 0; c < components_.size(); ++c)
+    components_[c].set_pool(
+        exec_ != nullptr ? &exec_->group(exec_->home_group(c)) : nullptr);
 }
 
 synopsis::UpdateReport SearchService::update_component(
@@ -112,76 +99,48 @@ synopsis::UpdateReport SearchService::update_component(
   } else {
     report = components_.at(c).update(batch);
   }
-  if (cache_ != nullptr) cache_->invalidate_all();
   return report;
+}
+
+void SearchService::for_each_component(
+    const std::function<void(std::size_t)>& fn) const {
+  if (exec_ != nullptr && components_.size() > 1) {
+    exec_->for_each_shard_grouped(components_.size(), fn);
+  } else {
+    for (std::size_t c = 0; c < components_.size(); ++c) fn(c);
+  }
 }
 
 void SearchService::fan_out_topk(
     const std::function<std::vector<ScoredDoc>(std::size_t)>& scan,
     TopK& top) const {
-  if (exec_ != nullptr && components_.size() > 1) {
-    // Topology path: every component scans on its home group and offers
-    // into its node's heap; the tiny per-node heaps merge at the end
-    // instead of funneling every local list through one thread. `better`
-    // is a strict total order over unique doc ids, so heap contents are
-    // insertion-order independent and the merged result is identical to
-    // the sequential component-order scan.
-    const std::size_t groups = exec_->num_groups();
-    std::vector<TopK> node_tops(groups, TopK(top.k()));
-    std::vector<common::Mutex> node_locks(groups);
-    exec_->for_each_shard_grouped(components_.size(), [&](std::size_t c) {
-      const auto local = scan(c);
-      if (local.empty()) return;
-      const std::size_t g = exec_->home_group(c);
-      common::MutexLock lock(node_locks[g]);
-      for (const auto& d : local) node_tops[g].offer(d);
-    });
-    for (const auto& nt : node_tops) {
-      for (const auto& d : nt.take()) top.offer(d);
-    }
-    return;
-  }
-  if (pool_ != nullptr && components_.size() > 1) {
-    // Fan the local scans out across the pool; merge in component order so
-    // the result is identical to the sequential path.
-    std::vector<std::vector<ScoredDoc>> locals(components_.size());
-    pool_->parallel_for(components_.size(),
-                        [&](std::size_t c) { locals[c] = scan(c); });
-    for (const auto& local : locals) {
-      for (const auto& d : local) top.offer(d);
-    }
-    return;
-  }
-  for (std::size_t c = 0; c < components_.size(); ++c) {
-    for (const auto& d : scan(c)) top.offer(d);
+  // Every component offers into its node's heap; the tiny per-node heaps
+  // merge at the end instead of funneling every local list through one
+  // thread. `better` is a strict total order over unique doc ids, so heap
+  // contents are insertion-order independent and the merged result is
+  // identical to the sequential component-order scan.
+  const std::size_t groups = exec_ != nullptr ? exec_->num_groups() : 1;
+  std::vector<TopK> node_tops(groups, TopK(top.k()));
+  std::vector<common::Mutex> node_locks(groups);
+  for_each_component([&](std::size_t c) {
+    const auto local = scan(c);
+    if (local.empty()) return;
+    const std::size_t g = exec_ != nullptr ? exec_->home_group(c) : 0;
+    common::MutexLock lock(node_locks[g]);
+    for (const auto& d : local) node_tops[g].offer(d);
+  });
+  for (const auto& nt : node_tops) {
+    for (const auto& d : nt.take()) top.offer(d);
   }
 }
 
 std::vector<ScoredDoc> SearchService::exact_topk(
     const SearchRequest& request) const {
-  // Freshness token: the sum of component epoch versions at lookup time.
-  // A hit computed in any other epoch set is treated as a miss, and a
-  // result is only inserted if no component published while the fan-out
-  // was in flight — a concurrently-updated answer must not be cached as
-  // current.
-  const std::uint64_t v = data_version();
-  if (cache_ != nullptr) {
-    std::vector<ScoredDoc> cached;
-    ResultMeta meta;
-    if (cache_->lookup(request.terms, &cached, &meta) && !meta.stale &&
-        meta.epoch == v) {
-      return cached;
-    }
-  }
   TopK top(k_);
   fan_out_topk(
       [&](std::size_t c) { return components_[c].exact_topk(request, k_); },
       top);
-  auto result = top.take();
-  if (cache_ != nullptr && data_version() == v) {
-    cache_->insert(request.terms, result, ResultMeta{0.0, v, false});
-  }
-  return result;
+  return top.take();
 }
 
 std::vector<ScoredDoc> SearchService::exact_topk_partial(
@@ -234,10 +193,8 @@ void SearchService::reload_component(std::size_t c, std::istream& is) {
   // and drain against the old epoch, while the component's mutex/epoch
   // anchor (which concurrent readers go through) is never replaced.
   components_[c].adopt(std::move(fresh));
-  // The shard's contents may have changed: rebuild the corpus-global idf
-  // and drop every cached answer.
+  // The shard's contents may have changed: rebuild the corpus-global idf.
   rebuild_global_idf();
-  if (cache_ != nullptr) cache_->invalidate_all();
 }
 
 std::vector<ScoredDoc> SearchService::retrieve(
@@ -264,7 +221,7 @@ std::vector<ScoredDoc> SearchService::retrieve(
 
   // AccuracyTrader: union of the exactly scored pages from each
   // component's processed ranked sets. The per-component analysis (synopsis
-  // correlations + exact member scoring) fans out across the pool; the
+  // correlations + exact member scoring) fans out across the executor; the
   // merge below walks components in order, so results are identical to the
   // sequential path.
   TopK top(k_);
@@ -283,18 +240,8 @@ std::vector<ScoredDoc> SearchService::retrieve(
   std::vector<std::shared_ptr<const SearchSnapshot>> snaps(components_.size());
   for (std::size_t c = 0; c < components_.size(); ++c)
     snaps[c] = components_[c].snapshot();
-  if (exec_ != nullptr && components_.size() > 1) {
-    exec_->for_each_shard_grouped(components_.size(), [&](std::size_t c) {
-      works[c] = snaps[c]->analyze(request);
-    });
-  } else if (pool_ != nullptr && components_.size() > 1) {
-    pool_->parallel_for(components_.size(), [&](std::size_t c) {
-      works[c] = snaps[c]->analyze(request);
-    });
-  } else {
-    for (std::size_t c = 0; c < components_.size(); ++c)
-      works[c] = snaps[c]->analyze(request);
-  }
+  for_each_component(
+      [&](std::size_t c) { works[c] = snaps[c]->analyze(request); });
   for (std::size_t c = 0; c < components_.size(); ++c) {
     const SearchComponentWork& work = works[c];
     const auto ranked = core::rank_by_correlation(work.correlations);

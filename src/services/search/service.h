@@ -13,7 +13,6 @@
 #include "core/outcome.h"
 #include "core/technique.h"
 #include "services/search/component.h"
-#include "services/search/query_cache.h"
 
 namespace at::search {
 
@@ -64,47 +63,34 @@ class SearchService {
   /// Aggregate inverted-index footprint across all shard components.
   IndexSizeStats index_size() const;
 
-  /// Enables the LRU query cache consulted by exact_topk (paper §3.2: the
-  /// engine scans its index only "if a query request does not hit the
-  /// query cache").
-  void enable_query_cache(std::size_t capacity);
-  const QueryCache* query_cache() const { return cache_.get(); }
-
-  /// Installs a thread pool: per-component work (local top-k scans,
-  /// request analysis, synopsis updates) fans out across it. Results are
-  /// merged in component order, so they match the sequential path. The
-  /// caller owns the pool's lifetime; pass nullptr to go sequential.
-  void set_pool(common::ThreadPool* pool);
-
-  /// Installs a topology-aware executor (overrides any set_pool): every
-  /// component is assigned a home group (round-robin over the executor's
-  /// nodes), its update/build work runs on that group's pinned pool, and
-  /// query fan-out dispatches each component to its home group, collecting
-  /// into one top-k heap per node that is merged at the end. The scoring
-  /// order (score desc, doc asc) is a strict total order over globally
-  /// unique doc ids, so the per-node merge is bit-identical to the
-  /// sequential component-order scan (pinned by tests). The caller owns
-  /// the executor's lifetime; pass nullptr to fall back to the plain pool.
+  /// Installs a topology-aware executor: every component is assigned a
+  /// home group (round-robin over the executor's nodes), its update/build
+  /// work runs on that group's pinned pool, and query fan-out dispatches
+  /// each component to its home group, collecting into one top-k heap per
+  /// node that is merged at the end. The scoring order (score desc, doc
+  /// asc) is a strict total order over globally unique doc ids, so the
+  /// per-node merge is bit-identical to the sequential component-order
+  /// scan (pinned by tests). The caller owns the executor's lifetime; pass
+  /// nullptr to run every component sequentially on the calling thread.
   void set_executor(common::ShardedExecutor* exec);
   common::ShardedExecutor* executor() const { return exec_; }
 
-  /// Routes an input-data change batch to component `c` and invalidates
-  /// the query cache (every cached answer is potentially stale). The
-  /// component retrains into its shadow copy and publishes a new epoch —
-  /// concurrent queries keep scanning their pinned snapshots and never
-  /// block on this call.
+  /// Routes an input-data change batch to component `c`. The component
+  /// retrains into its shadow copy and publishes a new epoch — concurrent
+  /// queries keep scanning their pinned snapshots and never block on this
+  /// call. Answer caches (the server's) detect the change through
+  /// data_version().
   synopsis::UpdateReport update_component(std::size_t c,
                                           const synopsis::UpdateBatch& batch);
 
-  /// Exact global top-k (served from the query cache when enabled).
+  /// Exact global top-k.
   std::vector<ScoredDoc> exact_topk(const SearchRequest& request) const;
 
   /// Fault-tolerant exact top-k: a component whose scan throws (dead
   /// worker group, artifact fault, injected failpoint) contributes
   /// nothing instead of failing the query. `components_ok` (may be null)
   /// receives how many components actually contributed, so callers can
-  /// mark the answer degraded and estimate its accuracy loss. Bypasses
-  /// the query cache — a partial answer must never be cached as exact.
+  /// mark the answer degraded and estimate its accuracy loss.
   std::vector<ScoredDoc> exact_topk_partial(const SearchRequest& request,
                                             std::size_t* components_ok) const;
 
@@ -117,8 +103,7 @@ class SearchService {
   /// strong exception guarantee: the snapshot is fully loaded and indexed
   /// into a temporary first, so a truncated/corrupt stream throws
   /// ArtifactError and leaves the service (and the old component) exactly
-  /// as it was. On success the global idf table is rebuilt and the query
-  /// cache invalidated.
+  /// as it was. On success the global idf table is rebuilt.
   void reload_component(std::size_t c, std::istream& is);
 
   /// Retrieved top-k under a technique given per-component outcomes.
@@ -142,10 +127,13 @@ class SearchService {
                                     ComponentOutcome outcome) const;
 
  private:
-  /// Runs the per-component scan and merges the locals into `top`: on the
-  /// executor via per-node heaps, else on the pool / sequentially in
-  /// component order. `scan` returns the component's local top-k (empty
-  /// for skipped components).
+  /// Runs fn(c) for every component: on its home group when an executor
+  /// is installed, else sequentially in component order.
+  void for_each_component(const std::function<void(std::size_t)>& fn) const;
+
+  /// Runs the per-component scan and merges the locals into `top` through
+  /// one heap per executor node (one heap when sequential). `scan` returns
+  /// the component's local top-k (empty for skipped components).
   void fan_out_topk(
       const std::function<std::vector<ScoredDoc>(std::size_t)>& scan,
       TopK& top) const;
@@ -157,8 +145,6 @@ class SearchService {
   std::vector<SearchComponent> components_;
   std::size_t k_;
   std::atomic<std::size_t> total_docs_{0};
-  std::unique_ptr<QueryCache> cache_;
-  common::ThreadPool* pool_ = nullptr;
   common::ShardedExecutor* exec_ = nullptr;
 };
 

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "common/artifact.h"
-#include "common/binary_io.h"
 
 namespace at::synopsis {
 
@@ -74,23 +73,6 @@ void IndexFile::save(std::ostream& os) const {
 }
 
 IndexFile IndexFile::load(std::istream& is) {
-  if (!common::next_is_artifact(is)) {
-    // Legacy "ATIX" v1.
-    common::BinaryReader r(is);
-    if (r.magic("ATIX") != 1)
-      throw std::runtime_error("IndexFile::load: unsupported legacy version");
-    const auto n = r.u64();
-    std::vector<IndexGroup> groups;
-    groups.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      IndexGroup g;
-      g.node_id = r.u64();
-      g.version = r.u64();
-      g.members = r.vec_u32();
-      groups.push_back(std::move(g));
-    }
-    return IndexFile(std::move(groups));
-  }
   common::ArtifactReader r(is, "INDX");
   if (r.version() != 1)
     throw common::ArtifactError("IndexFile::load: unsupported version");

@@ -46,8 +46,7 @@ class IndexFile {
   std::string summary() const;
 
   /// Artifact-store persistence (kind "INDX", one CRC-checked chunk for
-  /// the whole group table). The loader also accepts the legacy "ATIX" v1
-  /// stream.
+  /// the whole group table).
   void save(std::ostream& os) const;
   static IndexFile load(std::istream& is);
 

@@ -5,26 +5,12 @@
 #include <sstream>
 
 #include "common/artifact.h"
-#include "common/binary_io.h"
 #include "rtree/rtree.h"
 #include "services/search/postings_codec.h"
 
 namespace at::synopsis {
 
 namespace {
-
-// Legacy (pre-artifact-container) magics. Writers no longer emit these;
-// the loaders below keep accepting them so every on-disk file from
-// earlier releases still loads (golden fixtures: tests/data/golden/).
-constexpr char kLegacyRowsMagic[4] = {'A', 'T', 'S', 'R'};
-constexpr char kLegacySynMagic[4] = {'A', 'T', 'S', 'Y'};
-constexpr char kLegacyStructMagic[4] = {'A', 'T', 'S', 'S'};
-// Legacy SparseRows versions: v1 raw (u32 col, f64 val) pairs; v2
-// block-compressed (varint/group-varint delta blocks + quantized values);
-// v3 structurally identical to v2 but blocks may carry the u8-delta tag.
-constexpr std::uint32_t kLegacyRowsRaw = 1;
-constexpr std::uint32_t kLegacyRowsCompressed = 2;
-constexpr std::uint32_t kLegacyRowsCompressedU8 = 3;
 
 /// Forged-count guard for codec-encoded lists: every encoding spends at
 /// least one payload byte per entry (the tf/value code byte), so a count
@@ -34,82 +20,6 @@ void check_row_entries(std::uint64_t entries, std::size_t blob_bytes) {
   if (entries > blob_bytes)
     throw common::ArtifactError(
         "sparse list: entry count overruns encoded bytes");
-}
-
-SparseVector read_legacy_sparse_vector(common::BinaryReader& r) {
-  const auto n = r.u64();
-  SparseVector v;
-  v.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const auto c = r.u32();
-    const double val = r.f64();
-    v.emplace_back(c, val);
-  }
-  return v;
-}
-
-SparseRows load_legacy_sparse_rows(std::istream& is) {
-  common::BinaryReader r(is);
-  const std::uint32_t version = r.magic(kLegacyRowsMagic);
-  const auto cols = r.u64();
-  const auto n = r.u64();
-  SparseRows rows(cols);
-  if (version == kLegacyRowsRaw) {
-    for (std::uint64_t i = 0; i < n; ++i) {
-      rows.add_row(read_legacy_sparse_vector(r));
-    }
-  } else if (version == kLegacyRowsCompressed ||
-             version == kLegacyRowsCompressedU8) {
-    std::vector<std::uint32_t> ids;
-    std::vector<double> vals;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const auto entries = r.u64();
-      const auto buf = r.blob();
-      check_row_entries(entries, buf.size());
-      ids.clear();
-      vals.clear();
-      search::codec::decode_list(buf.data(), buf.size(), entries, ids, vals);
-      SparseVector v;
-      v.reserve(ids.size());
-      for (std::size_t j = 0; j < ids.size(); ++j)
-        v.emplace_back(ids[j], vals[j]);
-      rows.add_row(std::move(v));
-    }
-  } else {
-    throw std::runtime_error("load_sparse_rows: unsupported format version");
-  }
-  return rows;
-}
-
-Synopsis load_legacy_synopsis(std::istream& is) {
-  common::BinaryReader r(is);
-  if (r.magic(kLegacySynMagic) != 1)
-    throw std::runtime_error("load_synopsis: unsupported legacy version");
-  const auto n = r.u64();
-  Synopsis synopsis;
-  synopsis.points.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    AggregatedPoint p;
-    p.node_id = r.u64();
-    p.member_count = r.u32();
-    p.features = read_legacy_sparse_vector(r);
-    p.support = r.vec_u32();
-    synopsis.points.push_back(std::move(p));
-  }
-  return synopsis;
-}
-
-SynopsisStructure load_legacy_structure(std::istream& is) {
-  common::BinaryReader r(is);
-  if (r.magic(kLegacyStructMagic) != 1)
-    throw std::runtime_error("load_structure: unsupported legacy version");
-  const auto level = r.u64();
-  linalg::SvdModel svd = load_svd_model(is);
-  linalg::Matrix reduced = load_matrix(is);
-  rtree::RTree tree = rtree::RTree::load(is);
-  IndexFile index = load_index_file(is);
-  return SynopsisStructure{std::move(svd), std::move(reduced),
-                           std::move(tree), level, std::move(index)};
 }
 
 }  // namespace
@@ -137,7 +47,6 @@ void save(std::ostream& os, const SparseRows& rows) {
 }
 
 SparseRows load_sparse_rows(std::istream& is) {
-  if (!common::next_is_artifact(is)) return load_legacy_sparse_rows(is);
   common::ArtifactReader r(is, "SROW");
   if (r.version() != 1)
     throw common::ArtifactError("load_sparse_rows: unsupported version");
@@ -211,7 +120,6 @@ void save(std::ostream& os, const Synopsis& synopsis) {
 }
 
 Synopsis load_synopsis(std::istream& is) {
-  if (!common::next_is_artifact(is)) return load_legacy_synopsis(is);
   common::ArtifactReader r(is, "SYNO");
   if (r.version() != 1)
     throw common::ArtifactError("load_synopsis: unsupported version");
@@ -263,7 +171,6 @@ void save(std::ostream& os, const SynopsisStructure& s, common::Codec codec) {
 }
 
 SynopsisStructure load_structure(std::istream& is) {
-  if (!common::next_is_artifact(is)) return load_legacy_structure(is);
   common::ArtifactReader r(is, "SSTR");
   if (r.version() != 1)
     throw common::ArtifactError("load_structure: unsupported version");

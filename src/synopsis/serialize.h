@@ -11,12 +11,10 @@
 // node ids/versions so dirty-tracking survives the reload), the selected
 // level and index file.
 //
-// Compat: every loader also accepts the pre-container legacy formats —
-// SparseRows "ATSR" v1 (raw pairs), v2 (block-compressed), v3 (v2 plus the
-// u8-delta block tag), and the "ATMX"/"ATSV"/"ATIX"/"ATSY"/"ATSS" v1
-// streams — so all existing on-disk files keep loading (golden fixtures:
-// tests/data/golden/). All values round-trip bit-exactly in every format
-// and codec.
+// Every loader reads only the ATAC container; a pre-container stream
+// ("ATSR", "ATMX", "ATSV", "ATIX", "ATSY", "ATSS") fails with an
+// ArtifactError naming the magic it found. All values round-trip
+// bit-exactly in every codec (golden fixtures: tests/data/golden/).
 #pragma once
 
 #include <iosfwd>

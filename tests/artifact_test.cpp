@@ -1,8 +1,8 @@
 // Unified artifact store: container framing, the three exact f64 codecs
 // (raw / shuffle / q8) across every SIMD dispatch tier, fuzz-style corrupt
 // and truncated inputs (must throw cleanly — the suite runs under the
-// ASan/UBSan CI jobs), and golden-file fixtures proving the legacy
-// (pre-container) formats still load.
+// ASan/UBSan CI jobs), the clear error for retired pre-container formats,
+// and golden files locking the current writers' bytes.
 #include "common/artifact.h"
 
 #include <gtest/gtest.h>
@@ -10,10 +10,10 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 
-#include "common/binary_io.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
 #include "common/simd.h"
@@ -318,28 +318,18 @@ TEST(ArtifactFuzz, ForgedRowEntryCountRejected) {
 
 TEST(ArtifactFuzz, OverflowingMatrixDimensionsRejected) {
   // rows * cols wrapping to 0 must not pass the element-count check and
-  // index out of bounds of the (empty) storage — in either format era.
-  {
-    std::stringstream buf;
-    ArtifactWriter w(buf, "MATX", 1);
-    ChunkWriter meta;
-    meta.u64(std::uint64_t{1} << 32);
-    meta.u64(std::uint64_t{1} << 32);
-    w.chunk("META", meta);
-    ChunkWriter data;
-    data.vec_f64({}, Codec::kRaw);
-    w.chunk("DATA", data);
-    w.finish();
-    EXPECT_THROW(linalg::load_matrix(buf), std::runtime_error);
-  }
-  {
-    std::stringstream buf;
-    BinaryWriter w(buf);
-    w.magic("ATMX", 1);
-    w.u64(std::uint64_t{1} << 32);
-    w.u64(std::uint64_t{1} << 32);
-    EXPECT_THROW(linalg::load_matrix(buf), std::runtime_error);
-  }
+  // index out of bounds of the (empty) storage.
+  std::stringstream buf;
+  ArtifactWriter w(buf, "MATX", 1);
+  ChunkWriter meta;
+  meta.u64(std::uint64_t{1} << 32);
+  meta.u64(std::uint64_t{1} << 32);
+  w.chunk("META", meta);
+  ChunkWriter data;
+  data.vec_f64({}, Codec::kRaw);
+  w.chunk("DATA", data);
+  w.finish();
+  EXPECT_THROW(linalg::load_matrix(buf), std::runtime_error);
 }
 
 TEST(ArtifactFuzz, ForgedF64CountsRejectedBeforeAllocating) {
@@ -364,8 +354,58 @@ TEST(ArtifactFuzz, ForgedF64CountsRejectedBeforeAllocating) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden legacy fixtures (generated by the pre-container writers; see
-// tests/golden_fixtures.h for the recipes and generation notes).
+// Retired formats: the pre-container magics are no longer read. Each loader
+// must fail with an ArtifactError that names the magic it found.
+// ---------------------------------------------------------------------------
+
+using Loader = std::function<void(std::istream&)>;
+
+/// Feeds `magic`, a v1 version word and zero padding (the shape every
+/// pre-container header had) to `load`; returns the ArtifactError text.
+std::string retired_format_error(const std::string& magic, const Loader& load) {
+  std::stringstream buf;
+  buf << magic << std::string("\x01\x00\x00\x00", 4) << std::string(64, '\0');
+  try {
+    load(buf);
+  } catch (const ArtifactError& e) {
+    return e.what();
+  }
+  return "(loaded)";
+}
+
+TEST(RetiredFormats, PreAtacMagicsFailWithClearError) {
+  const std::vector<std::pair<std::string, Loader>> cases = {
+      {"ATSR", [](std::istream& is) { (void)synopsis::load_sparse_rows(is); }},
+      {"ATMX", [](std::istream& is) { (void)linalg::load_matrix(is); }},
+      {"ATSV", [](std::istream& is) { (void)linalg::load_svd_model(is); }},
+      {"ATIX", [](std::istream& is) { (void)synopsis::load_index_file(is); }},
+      {"ATSY", [](std::istream& is) { (void)synopsis::load_synopsis(is); }},
+      {"ATSS", [](std::istream& is) { (void)synopsis::load_structure(is); }},
+      {"ATSC",
+       [](std::istream& is) { (void)search::SearchComponent::load(is); }},
+      {"ATRC",
+       [](std::istream& is) { (void)reco::RecommenderComponent::load(is); }},
+  };
+  for (const auto& [magic, load] : cases) {
+    const std::string what = retired_format_error(magic, load);
+    const std::string want =
+        "'" + magic + "' (pre-ATAC formats are no longer read)";
+    EXPECT_NE(what.find(want), std::string::npos) << magic << ": " << what;
+  }
+  // Non-printable header bytes are named as \xNN escapes.
+  const std::string what =
+      retired_format_error(std::string("\x00\x7F", 2) + "AB", cases[1].second);
+  EXPECT_NE(what.find("'\\x00\\x7FAB'"), std::string::npos) << what;
+}
+
+// ---------------------------------------------------------------------------
+// Golden lock for the CURRENT (ATAC container) writers: the checked-in
+// bytes were produced by today's writers with the codec pinned; these tests
+// fail the moment a writer's output drifts, making the next format change
+// a conscious version bump (regenerate with AT_REGEN_GOLDEN=1, inspect the
+// diff, bump the kind version) instead of an accident. The paired load
+// tests keep proving the files still deserialize to the fixtures (recipes:
+// tests/golden_fixtures.h).
 // ---------------------------------------------------------------------------
 
 std::ifstream open_golden(const std::string& name) {
@@ -402,118 +442,6 @@ void expect_matrix_bits_equal(const linalg::Matrix& got,
           << r << "," << c << ": " << a << " vs " << b;
     }
   }
-}
-
-TEST(GoldenLegacy, SparseRowsV1) {
-  auto is = open_golden("sparse_rows_v1.bin");
-  expect_rows_equal(synopsis::load_sparse_rows(is), testing::golden_rows());
-}
-
-TEST(GoldenLegacy, SparseRowsV2) {
-  // The v2 fixture stores two wide rows (gaps > 255, hence varint blocks —
-  // the v2-era shape); literals mirror the generator.
-  auto is = open_golden("sparse_rows_v2.bin");
-  const auto rows = synopsis::load_sparse_rows(is);
-  ASSERT_EQ(rows.rows(), 2u);
-  EXPECT_EQ(rows.cols(), 2048u);
-  const synopsis::SparseVector want0{{300, 2.5}, {1200, 3.0}, {1999, 300.25}};
-  const synopsis::SparseVector want1{{0, 1.0}, {600, 42.0}};
-  EXPECT_EQ(rows.row(0), want0);
-  EXPECT_EQ(rows.row(1), want1);
-}
-
-TEST(GoldenLegacy, SparseRowsV3) {
-  auto is = open_golden("sparse_rows_v3.bin");
-  expect_rows_equal(synopsis::load_sparse_rows(is), testing::golden_rows());
-}
-
-TEST(GoldenLegacy, MatrixV1) {
-  auto is = open_golden("matrix_v1.bin");
-  expect_matrix_bits_equal(linalg::load_matrix(is), testing::golden_matrix());
-}
-
-TEST(GoldenLegacy, SvdModelV1) {
-  auto is = open_golden("svd_model_v1.bin");
-  const auto got = linalg::load_svd_model(is);
-  const auto want = testing::golden_svd_model();
-  EXPECT_EQ(got.train_rmse, want.train_rmse);
-  EXPECT_EQ(got.global_mean, want.global_mean);
-  EXPECT_EQ(got.row_bias, want.row_bias);
-  EXPECT_EQ(got.col_bias, want.col_bias);
-  expect_matrix_bits_equal(got.row_factors, want.row_factors);
-  expect_matrix_bits_equal(got.col_factors, want.col_factors);
-}
-
-TEST(GoldenLegacy, IndexFileV1) {
-  auto is = open_golden("index_file_v1.bin");
-  const auto got = synopsis::load_index_file(is);
-  const auto want = testing::golden_index_file();
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t g = 0; g < want.size(); ++g) {
-    EXPECT_EQ(got.groups()[g].node_id, want.groups()[g].node_id);
-    EXPECT_EQ(got.groups()[g].version, want.groups()[g].version);
-    EXPECT_EQ(got.groups()[g].members, want.groups()[g].members);
-  }
-}
-
-TEST(GoldenLegacy, SynopsisV1) {
-  auto is = open_golden("synopsis_v1.bin");
-  const auto got = synopsis::load_synopsis(is);
-  const auto want = testing::golden_synopsis();
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t g = 0; g < want.size(); ++g) {
-    EXPECT_EQ(got.points[g].node_id, want.points[g].node_id);
-    EXPECT_EQ(got.points[g].member_count, want.points[g].member_count);
-    EXPECT_EQ(got.points[g].features, want.points[g].features);
-    EXPECT_EQ(got.points[g].support, want.points[g].support);
-  }
-}
-
-TEST(GoldenLegacy, StructureV1MatchesDeterministicRebuild) {
-  auto is = open_golden("structure_v1.bin");
-  auto got = synopsis::load_structure(is);
-  const auto want = testing::golden_structure();
-  EXPECT_EQ(got.level, want.level);
-  expect_matrix_bits_equal(got.reduced, want.reduced);
-  expect_matrix_bits_equal(got.svd.row_factors, want.svd.row_factors);
-  expect_matrix_bits_equal(got.svd.col_factors, want.svd.col_factors);
-  ASSERT_EQ(got.index.size(), want.index.size());
-  for (std::size_t g = 0; g < want.index.size(); ++g) {
-    EXPECT_EQ(got.index.groups()[g].members, want.index.groups()[g].members);
-    EXPECT_EQ(got.index.groups()[g].version, want.index.groups()[g].version);
-  }
-  got.tree.check_invariants();
-  EXPECT_NO_THROW(got.index.validate_partition(testing::golden_rows().rows()));
-}
-
-TEST(GoldenLegacy, SearchComponentV1ScoresMatchFreshBuild) {
-  auto is = open_golden("search_component_v1.bin");
-  const auto loaded = search::SearchComponent::load(is);
-  search::SearchComponent fresh(testing::golden_rows(), 1000,
-                                testing::golden_build_config(),
-                                search::ScorerParams{}, nullptr);
-  const search::SearchRequest request{{1, 5, 12}};
-  const auto got = loaded.exact_topk(request, 5);
-  const auto want = fresh.exact_topk(request, 5);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].doc, want[i].doc);
-    EXPECT_EQ(got[i].score, want[i].score);
-  }
-}
-
-TEST(GoldenLegacy, RecommenderComponentV1AnalyzesLikeFreshBuild) {
-  auto is = open_golden("recommender_component_v1.bin");
-  const auto loaded = reco::RecommenderComponent::load(is);
-  reco::RecommenderComponent fresh(testing::golden_rows(),
-                                   testing::golden_build_config(), nullptr);
-  const auto request =
-      reco::CfRequest::make({{2, 4.0}, {9, 2.0}, {16, 5.0}}, 5);
-  const auto got = loaded.analyze(request).exact();
-  const auto want = fresh.analyze(request).exact();
-  EXPECT_EQ(got.weighted_dev, want.weighted_dev);
-  EXPECT_EQ(got.weight_abs, want.weight_abs);
-  EXPECT_EQ(got.neighbors, want.neighbors);
 }
 
 // ---------------------------------------------------------------------------
@@ -653,15 +581,6 @@ TEST(CodecSpecialValues, RandomBitPatternsRoundTripExactly) {
     }
   }
 }
-
-// ---------------------------------------------------------------------------
-// Golden lock for the CURRENT (ATAC container) writers: the checked-in
-// bytes were produced by today's writers with the codec pinned; these tests
-// fail the moment a writer's output drifts, making the next format change
-// a conscious version bump (regenerate with AT_REGEN_GOLDEN=1, inspect the
-// diff, bump the kind version) instead of an accident. The paired load
-// tests keep proving the files still deserialize to the fixtures.
-// ---------------------------------------------------------------------------
 
 std::string golden_path(const std::string& name) {
   return std::string(AT_TEST_DATA_DIR) + "/golden/" + name;

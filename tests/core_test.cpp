@@ -258,9 +258,10 @@ TEST(Runtime, RejectsWhenQueueFull) {
         return std::vector<double>{};
       },
       [](std::size_t) {});
-  // Give the worker a moment to pick up the blocking job.
+  // Wait (bounded, generously for loaded machines) for the worker to pick
+  // up the blocking job.
   common::Stopwatch w;
-  while (runtime.pending() > 0 && w.elapsed_ms() < 1000.0) {
+  while (runtime.pending() > 0 && w.elapsed_ms() < 30000.0) {
   }
   int accepted = 0, rejected = 0;
   for (int i = 0; i < 10; ++i) {

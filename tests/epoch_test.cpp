@@ -245,10 +245,15 @@ TEST(SearchComponentEpochs, ConcurrentQueriesNeverBlockOnUpdates) {
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> queries_done{0};
+  // Each reader finishes a minimum number of queries even if the writer
+  // publishes every update before the reader is first scheduled.
+  constexpr std::uint64_t kMinQueriesPerReader = 5;
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&, t] {
-      while (!stop.load(std::memory_order_acquire)) {
+      std::uint64_t local = 0;
+      while (!stop.load(std::memory_order_acquire) ||
+             local < kMinQueriesPerReader) {
         // One pinned snapshot per request: analyze and the stage-1 member
         // listing must come from the same epoch.
         const auto snap = comp.snapshot();
@@ -259,6 +264,7 @@ TEST(SearchComponentEpochs, ConcurrentQueriesNeverBlockOnUpdates) {
         if (snap->num_groups() > 0) {
           (void)snap->group_member_docs(0);
         }
+        ++local;
         queries_done.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -280,10 +286,10 @@ TEST(SearchComponentEpochs, ConcurrentQueriesNeverBlockOnUpdates) {
   // queries" assertion — a blocked reader would pin an epoch forever.
   EXPECT_EQ(s.retired, s.published - 1u);
   EXPECT_EQ(s.live, 1u);
-  EXPECT_GT(queries_done.load(), 0u);
+  EXPECT_GE(queries_done.load(), 3 * kMinQueriesPerReader);
 }
 
-TEST(SearchServiceEpochs, DataVersionAdvancesAndCacheStampsStayConsistent) {
+TEST(SearchServiceEpochs, DataVersionAdvancesAndAnswersStayConsistent) {
   auto cfg = small_corpus_config();
   workload::CorpusGen gen(cfg);
   auto wl = gen.generate(6);
@@ -295,15 +301,13 @@ TEST(SearchServiceEpochs, DataVersionAdvancesAndCacheStampsStayConsistent) {
     base += docs;
   }
   search::SearchService service(std::move(comps), 10);
-  service.enable_query_cache(64);
 
   const std::uint64_t v0 = service.data_version();
   const auto before = service.exact_topk(wl.queries[0]);
   common::Rng rng(5);
   (void)service.update_component(0, make_batch(gen, rng, 3, 0, 10));
   EXPECT_GT(service.data_version(), v0);
-  // Cache was invalidated by the update; the fresh answer matches a cold
-  // recompute bit-for-bit.
+  // The post-update answer is stable: a recompute matches it bit-for-bit.
   const auto a = service.exact_topk(wl.queries[0]);
   const auto b = service.exact_topk(wl.queries[0]);
   ASSERT_EQ(a.size(), b.size());
@@ -329,21 +333,26 @@ TEST(SearchServiceEpochs, ConcurrentQueryUpdateStress) {
     base += docs;
   }
   search::SearchService service(std::move(comps), 10);
-  service.enable_query_cache(64);
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> queries_done{0};
+  // Same gate as above: the writer's 8 updates can all land before any
+  // reader completes a query.
+  constexpr std::uint64_t kMinQueriesPerReader = 5;
   std::vector<std::thread> readers;
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&, t] {
       common::Rng qrng(t * 31 + 1);
-      while (!stop.load(std::memory_order_acquire)) {
+      std::uint64_t local = 0;
+      while (!stop.load(std::memory_order_acquire) ||
+             local < kMinQueriesPerReader) {
         const auto& q =
             wl.queries[qrng.uniform_index(wl.queries.size())];
         const auto top = service.exact_topk(q);
         // Merged answers stay well-formed across swaps: sorted, unique.
         for (std::size_t i = 1; i < top.size(); ++i)
           ASSERT_NE(top[i - 1].doc, top[i].doc);
+        ++local;
         queries_done.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -358,7 +367,7 @@ TEST(SearchServiceEpochs, ConcurrentQueryUpdateStress) {
   stop.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
 
-  EXPECT_GT(queries_done.load(), 0u);
+  EXPECT_GE(queries_done.load(), 3 * kMinQueriesPerReader);
   const auto es = service.epoch_stats();
   // One live epoch per component once all pins drop.
   EXPECT_EQ(es.live, service.num_components());

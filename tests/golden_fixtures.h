@@ -1,13 +1,11 @@
-// Deterministic fixture recipes shared by the legacy-format golden files
-// under tests/data/golden/ and the compat tests that load them.
+// Deterministic fixture recipes shared by the ATAC golden files under
+// tests/data/golden/ (atac_*_v1.bin) and the byte-stability tests that
+// write and load them (tests/artifact_test.cpp).
 //
-// The golden files were generated ONCE, at the last commit whose writers
-// still emitted the pre-artifact-container formats (SparseRows v1/v2/v3
-// behind "ATSR", Matrix/SVD/IndexFile/Synopsis/Structure v1 behind
-// "ATMX"/"ATSV"/"ATIX"/"ATSY"/"ATSS", component snapshots behind
-// "ATSC"/"ATRC"), by serializing exactly the objects these recipes build.
-// The recipes are formula-based (no RNG) except for the structure/component
-// fixtures, which run the deterministic-mode synopsis build — that path is
+// The golden files hold exactly the objects these recipes build, written
+// by the current writers with the codec pinned. The recipes are
+// formula-based (no RNG) except for the structure/component fixtures,
+// which run the deterministic-mode synopsis build — that path is
 // bit-reproducible by contract (tests/perf_equivalence_test.cpp), so a
 // fresh build today must equal the bytes decoded from the golden files.
 //
@@ -27,8 +25,7 @@
 namespace at::testing {
 
 /// 12 x 32 rows mixing integral values (quantizable), fractions and
-/// values > 255 (both codec exceptions), so every legacy value path is
-/// exercised.
+/// values > 255 (both codec exceptions), so every value path is exercised.
 inline synopsis::SparseRows golden_rows() {
   synopsis::SparseRows rows(32);
   for (std::uint32_t r = 0; r < 12; ++r) {

@@ -677,39 +677,6 @@ TEST_F(SearchServiceTest, EvaluateExactIsPerfect) {
   EXPECT_DOUBLE_EQ(res.loss_pct, 0.0);
 }
 
-TEST_F(SearchServiceTest, QueryCacheServesRepeats) {
-  service_->enable_query_cache(64);
-  const auto first = service_->exact_topk(queries_[0]);
-  const auto second = service_->exact_topk(queries_[0]);
-  ASSERT_EQ(first.size(), second.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].doc, second[i].doc);
-    EXPECT_DOUBLE_EQ(first[i].score, second[i].score);
-  }
-  ASSERT_NE(service_->query_cache(), nullptr);
-  EXPECT_EQ(service_->query_cache()->stats().hits, 1u);
-}
-
-TEST_F(SearchServiceTest, UpdateInvalidatesQueryCache) {
-  service_->enable_query_cache(64);
-  (void)service_->exact_topk(queries_[0]);
-  workload::CorpusConfig cfg;
-  cfg.vocab_size = 500;
-  cfg.num_topics = 8;
-  cfg.topic_vocab = 40;
-  workload::CorpusGen gen(cfg);
-  common::Rng rng(8);
-  synopsis::UpdateBatch batch;
-  batch.added.push_back(gen.sample_doc(rng));
-  service_->update_component(0, batch);
-  EXPECT_EQ(service_->query_cache()->size(), 0u);
-  // The post-update answer is consistent with a cold computation.
-  const auto a = service_->exact_topk(queries_[0]);
-  const auto b = service_->exact_topk(queries_[0]);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].doc, b[i].doc);
-}
-
 TEST_F(SearchServiceTest, ComponentSaveLoadRoundTrip) {
   const auto& comp = service_->component(1);
   std::stringstream buf;

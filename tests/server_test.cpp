@@ -743,7 +743,12 @@ TEST_F(ServerTest, ShutdownUnderLoadAnswersOrResetsEveryCall) {
       }
     });
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Stop only once real work is flowing (bounded wait): a fixed sleep
+  // assumed the clients got scheduled in time.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (answered.load() < 4 && std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   srv.stop();  // while clients are mid-flight
   run.store(false);
   for (auto& t : threads) t.join();

@@ -6,10 +6,8 @@
 #include <set>
 #include <sstream>
 
-#include "common/binary_io.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "services/search/postings_codec.h"
 #include "synopsis/aggregate.h"
 #include "synopsis/builder.h"
 #include "synopsis/index_file.h"
@@ -611,71 +609,6 @@ TEST(Serialize, SparseRowsRoundTripBitExactWithHolesAndFractions) {
       EXPECT_EQ(a.vals()[i], b.vals()[i]) << "row " << r << " entry " << i;
     }
   }
-}
-
-TEST(Serialize, LoadsV1UncompressedSparseRows) {
-  // A v1 file (raw u32/f64 pairs per row) written by the previous release
-  // must keep loading through the new codec-aware reader.
-  const SparseVector row0{{1, 2.5}, {6, 3.0}};
-  const SparseVector row1{{0, 1.0}};
-  std::stringstream buf;
-  {
-    common::BinaryWriter w(buf);
-    w.magic("ATSR", 1);
-    w.u64(8);  // cols
-    w.u64(2);  // rows
-    for (const auto* row : {&row0, &row1}) {
-      w.u64(row->size());
-      for (const auto& [c, val] : *row) {
-        w.u32(c);
-        w.f64(val);
-      }
-    }
-  }
-  const SparseRows loaded = load_sparse_rows(buf);
-  ASSERT_EQ(loaded.rows(), 2u);
-  EXPECT_EQ(loaded.cols(), 8u);
-  EXPECT_EQ(loaded.row(0), row0);
-  EXPECT_EQ(loaded.row(1), row1);
-}
-
-TEST(Serialize, LoadsV2CompressedSparseRows) {
-  // A v2 file (block-compressed, but from before the u8-delta tag existed
-  // — only varint/group-varint blocks) must keep loading; the writer now
-  // stamps v3 because its blocks may carry the new tag.
-  const SparseVector row0{{300, 2.5}, {1200, 3.0}};  // gaps > 255: varint
-  std::stringstream buf;
-  {
-    common::BinaryWriter w(buf);
-    w.magic("ATSR", 2);
-    w.u64(2048);  // cols
-    w.u64(1);     // rows
-    std::vector<std::uint32_t> ids;
-    std::vector<double> vals;
-    for (const auto& [c, val] : row0) {
-      ids.push_back(c);
-      vals.push_back(val);
-    }
-    std::vector<std::uint8_t> blob;
-    search::codec::encode_list(blob, ids.data(), vals.data(), ids.size());
-    ASSERT_EQ(blob[0], search::codec::kTagVarint);  // genuinely v2-shaped
-    w.u64(ids.size());
-    w.blob(blob);
-  }
-  const SparseRows loaded = load_sparse_rows(buf);
-  ASSERT_EQ(loaded.rows(), 1u);
-  EXPECT_EQ(loaded.row(0), row0);
-}
-
-TEST(Serialize, UnknownRowsVersionThrows) {
-  std::stringstream buf;
-  {
-    common::BinaryWriter w(buf);
-    w.magic("ATSR", 99);
-    w.u64(4);
-    w.u64(0);
-  }
-  EXPECT_THROW(load_sparse_rows(buf), std::runtime_error);
 }
 
 TEST(Serialize, MatrixAndSvdRoundTrip) {

@@ -490,12 +490,6 @@ TEST(ShardedFanout, SearchTopkBitIdenticalAcrossLayouts) {
   const std::vector<core::ComponentOutcome> outcomes(
       service.num_components(), core::ComponentOutcome{true, 2});
 
-  common::ThreadPool pool(4);
-  service.set_pool(&pool);
-  for (std::size_t i = 0; i < wl.queries.size(); ++i)
-    expect_same_docs(service.exact_topk(wl.queries[i]), reference[i]);
-  service.set_pool(nullptr);
-
   for (std::size_t nodes : {1u, 2u, 4u}) {
     ShardedExecutor exec(common::simulated_topology(nodes));
     service.set_executor(&exec);
