@@ -5,11 +5,12 @@
 // Readers pin the current epoch with acquire() — an O(1) shared_ptr copy
 // under a mutex whose critical section never grows with data size — and
 // keep scanning that snapshot for as long as they hold the pin, entirely
-// unaffected by concurrent retraining. Writers build the next epoch
-// outside any lock (shadow copy on the home group), then publish() it:
-// an O(1) pointer swap. The old epoch is not freed at the swap; it is
-// *retired* — destroyed by whichever thread drops the last pin, observable
-// through stats().retired. Readers therefore never block on retraining
+// unaffected by concurrent retraining. Writers derive the next epoch from
+// the current one outside this lock (copying only what they mutate, on the
+// home group), then publish() it: an O(1) pointer swap. The old epoch is
+// not freed at the swap; it is *retired* — destroyed by whichever thread
+// drops the last pin, observable through stats().retired. Readers
+// therefore never block on retraining
 // and retraining never blocks on readers; the only serialization is the
 // pointer swap itself.
 //

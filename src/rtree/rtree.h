@@ -71,9 +71,9 @@ class RTree {
 
   /// Deep copy preserving node ids, versions and the id allocator, so the
   /// clone continues incremental updates exactly like the original. This
-  /// is what lets an epoch snapshot carry its own tree while the shadow
-  /// copy keeps mutating (copying is explicit — the copy ctor stays
-  /// deleted so a tree is never duplicated by accident).
+  /// is what lets an update edit its own tree for the next epoch while
+  /// readers keep scanning the published one (copying is explicit — the
+  /// copy ctor stays deleted so a tree is never duplicated by accident).
   RTree clone() const;
 
   std::size_t dims() const { return dims_; }

@@ -28,8 +28,8 @@
 //
 // Online retraining (ISSUE 8): queries never block on updates. Every
 // component owns an RCU epoch slot; a query pins the current snapshot and
-// scans it to completion while kUpdate requests retrain the shadow copy
-// and publish a new epoch with a pointer swap. There is no serving-path
+// scans it to completion while kUpdate requests derive the next epoch by
+// copy on write and publish it with a pointer swap. There is no serving-path
 // reader/writer lock anywhere — freshness is an epoch token: cached
 // answers are stamped with the effective epoch (reload bumps +
 // per-component publish versions) they were computed in, and every publish

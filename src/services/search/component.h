@@ -2,38 +2,30 @@
 // corpus, its inverted index, and the synopsis of merged ("aggregated")
 // pages built over it.
 //
-// Ownership model (ISSUE 8): the component is split into an immutable
-// published half and a mutable shadow half behind an RCU epoch slot.
+// Ownership model: one copy of the component's state, published as
+// immutable epochs behind an RCU epoch slot (services/epoch_component.h).
 //
 //   SearchSnapshot   everything a query reads — docs, synopsis, inverted
 //                    index, derived arrays — frozen at publish time. All
 //                    methods are const and safe to call from any number
-//                    of threads concurrently.
-//   SearchBuilder    the writer's working copy. update batches mutate it
-//                    in place on the component's home group, then build()
-//                    copies it into a fresh SearchSnapshot.
+//                    of threads concurrently. Docs, structure and synopsis
+//                    are shared with the neighbouring epochs wherever an
+//                    update did not touch them.
 //   SearchComponent  the facade the rest of the stack holds: queries pin
 //                    the current snapshot (snapshot() / the delegating
-//                    query methods), writers serialize on an internal
-//                    mutex and publish through an EpochSlot. Publishing
-//                    is a pointer swap: queries never block on
-//                    retraining, and an epoch retires (frees) only when
-//                    the last in-flight query drops its pin.
+//                    query methods); an update derives epoch N+1 from the
+//                    pinned epoch N by copy on write and publishes it with
+//                    a pointer swap.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
-#include <utility>
 #include <vector>
 
-#include "common/epoch.h"
+#include "services/epoch_component.h"
 #include "services/search/inverted_index.h"
 #include "services/search/topk.h"
-#include "synopsis/aggregate.h"
-#include "synopsis/builder.h"
-#include "synopsis/updater.h"
 
 namespace at::search {
 
@@ -53,28 +45,23 @@ struct SearchComponentWork {
   std::vector<std::vector<ScoredDoc>> scored_by_group;
 };
 
-/// Immutable published state of one search component. Built by
-/// SearchBuilder::build(); every member is frozen after construction, so
-/// any number of threads may query one snapshot concurrently (the scan
-/// scratch inside InvertedIndex is thread_local). Group indices, doc ids
-/// and correlations returned by one snapshot are only meaningful against
-/// that same snapshot — pin it once per request.
-class SearchSnapshot {
+/// Immutable published state of one search component. Every member is
+/// frozen after construction, so any number of threads may query one
+/// snapshot concurrently (the scan scratch inside InvertedIndex is
+/// thread_local). Group indices, doc ids and correlations returned by one
+/// snapshot are only meaningful against that same snapshot — pin it once
+/// per request.
+class SearchSnapshot : public services::ShardEpoch {
  public:
-  SearchSnapshot(synopsis::SparseRows docs, std::uint64_t doc_id_base,
-                 synopsis::BuildConfig config, ScorerParams scorer,
-                 synopsis::SynopsisStructure structure,
-                 synopsis::Synopsis synopsis,
+  /// Builds the inverted index and derived arrays over `shard`'s docs.
+  SearchSnapshot(services::ShardEpoch shard, std::uint64_t doc_id_base,
+                 ScorerParams scorer,
                  std::shared_ptr<const std::vector<double>> global_idf);
 
-  std::size_t num_docs() const { return docs_.rows(); }
-  std::size_t num_groups() const { return structure_.index.size(); }
+  std::size_t num_docs() const { return rows().rows(); }
   std::uint64_t doc_id_base() const { return doc_id_base_; }
-  const synopsis::BuildConfig& config() const { return config_; }
   const ScorerParams& scorer_params() const { return scorer_; }
-  const synopsis::SparseRows& docs() const { return docs_; }
-  const synopsis::SynopsisStructure& structure() const { return structure_; }
-  const synopsis::Synopsis& synopsis() const { return synopsis_; }
+  const synopsis::SparseRows& docs() const { return rows(); }
   const InvertedIndex& index() const { return index_; }
   const std::shared_ptr<const std::vector<double>>& global_idf() const {
     return global_idf_;
@@ -85,8 +72,6 @@ class SearchSnapshot {
 
   /// Per-term document frequencies (for building the corpus-global idf).
   std::vector<std::uint32_t> doc_frequencies() const;
-
-  std::vector<std::uint32_t> group_sizes() const;
 
   /// Full per-request analysis (synopsis scores + exact member scores).
   SearchComponentWork analyze(const SearchRequest& request) const;
@@ -117,76 +102,32 @@ class SearchSnapshot {
   void save(std::ostream& os,
             common::Codec codec = common::default_codec()) const;
 
-  /// Identical snapshot with a different corpus-global idf table: copies
-  /// the frozen state and swaps the idf — no SVD retrain, no index
-  /// rebuild (the postings pool is copied, not reconstructed).
+  /// Identical snapshot with a different corpus-global idf table: shares
+  /// the docs, structure and synopsis and swaps the idf — no SVD retrain,
+  /// no index rebuild (the postings pool is copied, not reconstructed).
   std::unique_ptr<const SearchSnapshot> with_global_idf(
       std::shared_ptr<const std::vector<double>> idf) const;
 
  private:
-  SearchSnapshot(const SearchSnapshot&);  // deep copy (clones the R-tree)
+  template <typename>
+  friend class services::EpochComponent;
 
-  void build_derived();  // doc_group_, agg_length_
+  SearchSnapshot(const SearchSnapshot&) = default;  // shares the pieces
 
-  synopsis::SparseRows docs_;
+  std::unique_ptr<const SearchSnapshot> next_epoch(
+      const synopsis::UpdateBatch& batch, common::ThreadPool* pool,
+      synopsis::UpdateReport& report) const;
+
   std::uint64_t doc_id_base_;
-  synopsis::BuildConfig config_;
   ScorerParams scorer_;
-  synopsis::SynopsisStructure structure_;
-  synopsis::Synopsis synopsis_;
   InvertedIndex index_;
   std::vector<std::uint32_t> doc_group_;  // local doc -> group index
   std::vector<double> agg_length_;        // merged length per aggregated page
   std::shared_ptr<const std::vector<double>> global_idf_;
 };
 
-/// The writer's mutable half: the working copy retrain/fold-in batches
-/// mutate, and the factory for published snapshots. Not thread-safe by
-/// itself — SearchComponent serializes all access under its writer mutex.
-class SearchBuilder {
+class SearchComponent : public services::EpochComponent<SearchSnapshot> {
  public:
-  SearchBuilder(synopsis::SparseRows docs, std::uint64_t doc_id_base,
-                const synopsis::BuildConfig& config, ScorerParams scorer,
-                common::ThreadPool* pool);
-
-  /// From loaded artifact pieces (no synopsis rebuild).
-  SearchBuilder(synopsis::SparseRows docs, std::uint64_t doc_id_base,
-                synopsis::BuildConfig config, ScorerParams scorer,
-                synopsis::SynopsisStructure structure,
-                synopsis::Synopsis synopsis);
-
-  std::uint64_t doc_id_base() const { return doc_id_base_; }
-  const synopsis::BuildConfig& config() const { return config_; }
-
-  /// Applies an input-data change batch to the shadow copy.
-  synopsis::UpdateReport apply(const synopsis::UpdateBatch& batch,
-                               common::ThreadPool* pool);
-
-  /// Copies the current shadow state into a fresh immutable snapshot
-  /// (rebuilds the inverted index and derived arrays).
-  std::unique_ptr<const SearchSnapshot> build(
-      std::shared_ptr<const std::vector<double>> global_idf) const;
-
- private:
-  synopsis::SparseRows docs_;
-  std::uint64_t doc_id_base_;
-  synopsis::BuildConfig config_;
-  ScorerParams scorer_;
-  synopsis::SynopsisStructure structure_;
-  synopsis::Synopsis synopsis_;
-};
-
-class SearchComponent {
- public:
-  /// Observer of successful publishes: receives the applied batch and the
-  /// epoch versions it moved between. The serving layer uses this to emit
-  /// DLTA delta artifacts a warm standby can tail (see synopsis/delta.h).
-  /// Invoked under the writer mutex — publishes are serialized, so sink
-  /// calls are too, in version order.
-  using DeltaSink = std::function<void(
-      const synopsis::UpdateBatch& batch, std::uint64_t from_version,
-      std::uint64_t to_version)>;
-
   /// `docs`: row = page, col = term id, value = occurrence count.
   /// `doc_id_base`: offset of this shard's pages in the global id space.
   /// `scorer`: ranking function (Lucene-classic TF-IDF by default, BM25
@@ -197,54 +138,14 @@ class SearchComponent {
                   const synopsis::BuildConfig& config,
                   ScorerParams scorer = {},
                   common::ThreadPool* pool = nullptr);
-  ~SearchComponent();
 
-  SearchComponent(SearchComponent&&) noexcept;
-  SearchComponent& operator=(SearchComponent&&) noexcept;
-
-  /// Installs (or clears) the pool used by update().
-  void set_pool(common::ThreadPool* pool);
-
-  /// Pins the currently published epoch. Use one pin per request when a
-  /// request makes several calls whose results must be consistent with
-  /// each other (e.g. analyze() then group_member_docs()).
-  std::shared_ptr<const SearchSnapshot> snapshot() const;
-
-  /// Pins the current epoch together with its version atomically — the
-  /// checkpoint writer's primitive (the version stamped into the artifact
-  /// filename must be the version of the saved bytes).
-  std::pair<std::shared_ptr<const SearchSnapshot>, std::uint64_t>
-  snapshot_versioned() const;
-
-  /// Version of the published epoch / full slot counters.
-  std::uint64_t epoch_version() const;
-  common::EpochStats epoch_stats() const;
-
-  /// Standby alignment: rebases the epoch version counter (no publish) to
-  /// the version a loaded checkpoint corresponds to on the primary, so
-  /// replayed deltas advance the slot in lockstep with the primary's
-  /// stream. Serialized with writers.
-  void rebase_epoch_version(std::uint64_t v);
-
-  /// Installs (or clears, with nullptr) the publish observer.
-  void set_delta_sink(DeltaSink sink);
-
-  // Convenience delegates to the current snapshot. The returned
-  // references stay valid until the next publish on this component (the
-  // same contract in-place update() offered before the epoch split); pin
-  // snapshot() instead when updates may run concurrently.
+  // Convenience delegates to the current snapshot (see EpochComponent).
   std::size_t num_docs() const { return snapshot()->num_docs(); }
-  std::size_t num_groups() const { return snapshot()->num_groups(); }
   std::uint64_t doc_id_base() const { return snapshot()->doc_id_base(); }
-  const synopsis::SynopsisStructure& structure() const;
-  const synopsis::Synopsis& synopsis() const;
-  const InvertedIndex& index() const;
+  const InvertedIndex& index() const { return snapshot()->index(); }
   IndexSizeStats index_size() const { return snapshot()->index_size(); }
   std::vector<std::uint32_t> doc_frequencies() const {
     return snapshot()->doc_frequencies();
-  }
-  std::vector<std::uint32_t> group_sizes() const {
-    return snapshot()->group_sizes();
   }
   SearchComponentWork analyze(const SearchRequest& request) const {
     return snapshot()->analyze(request);
@@ -262,31 +163,19 @@ class SearchComponent {
   }
 
   /// Installs the corpus-global idf table used in all scoring; publishes
-  /// a new epoch (cheap snapshot copy, no rebuild).
+  /// a new epoch that shares the docs, structure and synopsis (no rebuild).
   void set_global_idf(std::shared_ptr<const std::vector<double>> idf);
 
-  /// Applies an input-data change batch to the shadow copy, then
-  /// publishes the result as a new epoch. In-flight queries keep scanning
-  /// the epoch they pinned; no reader ever waits on this call.
-  synopsis::UpdateReport update(const synopsis::UpdateBatch& batch);
-
   /// Replaces this component's state with `fresh`'s (the reload path):
-  /// adopts its shadow copy and publishes a new epoch built from it. The
-  /// pool and delta sink installed on *this* component are kept.
+  /// publishes `fresh`'s snapshot, re-stamped with this component's idf,
+  /// as a new epoch. The pool and delta sink installed on *this*
+  /// component are kept.
   void adopt(SearchComponent&& fresh);
 
-  void save(std::ostream& os,
-            common::Codec codec = common::default_codec()) const {
-    snapshot()->save(os, codec);
-  }
   static SearchComponent load(std::istream& is);
 
  private:
-  struct Core;  // non-movable anchor (mutex + epoch slot + shadow copy)
-
-  explicit SearchComponent(SearchBuilder builder, common::ThreadPool* pool);
-
-  std::unique_ptr<Core> core_;
+  using EpochComponent::EpochComponent;
 };
 
 }  // namespace at::search

@@ -188,7 +188,7 @@ void SearchService::reload_component(std::size_t c, std::istream& is) {
   // injected artifact fault) throws out of here before any service state
   // is touched.
   SearchComponent fresh = SearchComponent::load(is);
-  // Adopt the loaded shadow copy and publish it as a new epoch on the
+  // Adopt the loaded snapshot and publish it as a new epoch on the
   // *existing* component object — in-flight queries hold pinned snapshots
   // and drain against the old epoch, while the component's mutex/epoch
   // anchor (which concurrent readers go through) is never replaced.

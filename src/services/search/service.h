@@ -76,7 +76,7 @@ class SearchService {
   common::ShardedExecutor* executor() const { return exec_; }
 
   /// Routes an input-data change batch to component `c`. The component
-  /// retrains into its shadow copy and publishes a new epoch — concurrent
+  /// derives and publishes a new epoch by copy on write — concurrent
   /// queries keep scanning their pinned snapshots and never block on this
   /// call. Answer caches (the server's) detect the change through
   /// data_version().

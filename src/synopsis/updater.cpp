@@ -11,7 +11,7 @@
 namespace at::synopsis {
 
 UpdateReport SynopsisUpdater::apply(SynopsisStructure& s, SparseRows& data,
-                                    Synopsis& synopsis,
+                                    const Synopsis& current, Synopsis* next,
                                     const UpdateBatch& batch,
                                     AggregationKind kind,
                                     common::ThreadPool* pool) const {
@@ -146,7 +146,7 @@ UpdateReport SynopsisUpdater::apply(SynopsisStructure& s, SparseRows& data,
     const auto& g = new_index.groups()[gi];
     auto it = old_groups.find(g.node_id);
     if (it != old_groups.end() && it->second.first == g.version) {
-      new_synopsis.points[gi] = synopsis.points[it->second.second];
+      new_synopsis.points[gi] = current.points[it->second.second];
       ++report.clean_groups;
     } else {
       dirty.push_back(gi);
@@ -166,7 +166,7 @@ UpdateReport SynopsisUpdater::apply(SynopsisStructure& s, SparseRows& data,
 
   s.level = level;
   s.index = std::move(new_index);
-  synopsis = std::move(new_synopsis);
+  *next = std::move(new_synopsis);
   report.groups_after = s.index.size();
   report.seconds = timer.elapsed_seconds();
   return report;

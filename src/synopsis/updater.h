@@ -48,15 +48,30 @@ class SynopsisUpdater {
  public:
   explicit SynopsisUpdater(BuildConfig config) : config_(config) {}
 
-  /// Applies the batch, mutating the data rows, the synopsis structure and
-  /// the aggregated synopsis in place. When `pool` is given, the SVD
-  /// fold-in of added rows, the changed rows' coordinate retraining and
-  /// the dirty-group re-aggregation all run pool-parallel (each is
-  /// per-row/per-group independent, so results match the sequential path).
+  /// Applies the batch, mutating the data rows and the synopsis structure
+  /// in place and writing the re-aggregated synopsis to `next`: clean
+  /// groups are copied from `current`, dirty ones aggregated afresh.
+  /// `current` is only read, so it may be shared with a published epoch.
+  /// When `pool` is given, the SVD fold-in of added rows, the changed
+  /// rows' coordinate retraining and the dirty-group re-aggregation all
+  /// run pool-parallel (each is per-row/per-group independent, so results
+  /// match the sequential path). On a throw, `next` is unspecified.
+  UpdateReport apply(SynopsisStructure& s, SparseRows& data,
+                     const Synopsis& current, Synopsis* next,
+                     const UpdateBatch& batch, AggregationKind kind,
+                     common::ThreadPool* pool = nullptr) const;
+
+  /// In-place form: replaces `synopsis` with the re-aggregated one.
   UpdateReport apply(SynopsisStructure& s, SparseRows& data,
                      Synopsis& synopsis, const UpdateBatch& batch,
                      AggregationKind kind,
-                     common::ThreadPool* pool = nullptr) const;
+                     common::ThreadPool* pool = nullptr) const {
+    Synopsis next;
+    const UpdateReport report =
+        apply(s, data, synopsis, &next, batch, kind, pool);
+    synopsis = std::move(next);
+    return report;
+  }
 
  private:
   BuildConfig config_;

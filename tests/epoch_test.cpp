@@ -1,7 +1,7 @@
-// Epoch-ownership suite (ISSUE 8): the EpochSlot primitive, the snapshot
-// swap under concurrent readers (run under TSan in CI), query-cache
-// staleness re-annotation at publish time, and the DLTA delta artifacts a
-// warm standby tails.
+// Epoch-ownership suite: the EpochSlot primitive, the snapshot swap under
+// concurrent readers (run under TSan in CI), the copy-on-write contract
+// between consecutive epochs, query-cache staleness re-annotation at
+// publish time, and the DLTA delta artifacts a warm standby tails.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +10,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,11 +19,13 @@
 #include "common/epoch.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
+#include "services/recommender/component.h"
 #include "services/search/component.h"
 #include "services/search/query_cache.h"
 #include "services/search/service.h"
 #include "synopsis/delta.h"
 #include "workload/corpus.h"
+#include "workload/ratings.h"
 
 namespace at {
 namespace {
@@ -375,6 +378,163 @@ TEST(SearchServiceEpochs, ConcurrentQueryUpdateStress) {
 }
 
 // ---------------------------------------------------------------------------
+// Copy-on-write epochs: an update derives the next epoch from the pinned
+// one, copying only what it mutates, so a pinned epoch never changes and a
+// failed update leaves no trace.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+std::string saved_bytes(const T& saveable) {
+  std::ostringstream os(std::ios::binary);
+  saveable.save(os);
+  return os.str();
+}
+
+struct SearchCase {
+  using Component = search::SearchComponent;
+  workload::CorpusGen gen{small_corpus_config()};
+  synopsis::SparseRows rows = gen.generate(1).shards[0];
+
+  Component make() const { return Component(rows, 0, small_build_config()); }
+  synopsis::SparseVector sample(common::Rng& rng) const {
+    return gen.sample_doc(rng);
+  }
+  static const synopsis::SparseRows& data(const search::SearchSnapshot& s) {
+    return s.docs();
+  }
+};
+
+struct RecommenderCase {
+  using Component = reco::RecommenderComponent;
+  workload::RatingWorkloadGen gen{workload::RatingConfig{
+      .num_components = 1, .users_per_component = 150, .num_items = 80}};
+  synopsis::SparseRows rows = gen.generate(1, 1).subsets[0];
+
+  Component make() const { return Component(rows, small_build_config()); }
+  synopsis::SparseVector sample(common::Rng& rng) const {
+    return gen.sample_user(rng);
+  }
+  static const synopsis::SparseRows& data(const reco::RecommenderSnapshot& s) {
+    return s.users();
+  }
+};
+
+template <typename Case>
+class CopyOnWriteEpochs : public ::testing::Test {
+ protected:
+  void SetUp() override { fp::clear_all(); }
+  void TearDown() override { fp::clear_all(); }
+
+  synopsis::UpdateBatch batch(common::Rng& rng, std::size_t adds,
+                              std::size_t changes) const {
+    synopsis::UpdateBatch b;
+    for (std::size_t i = 0; i < adds; ++i) b.added.push_back(c.sample(rng));
+    for (std::size_t i = 0; i < changes; ++i)
+      b.changed.emplace_back(
+          static_cast<std::uint32_t>(rng.uniform_index(c.rows.rows())),
+          c.sample(rng));
+    return b;
+  }
+
+  Case c;
+};
+
+using CowCases = ::testing::Types<SearchCase, RecommenderCase>;
+TYPED_TEST_SUITE(CopyOnWriteEpochs, CowCases);
+
+TYPED_TEST(CopyOnWriteEpochs, PinnedEpochNeverChangesUnderUpdates) {
+  auto comp = this->c.make();
+  const auto [pinned, version] = comp.snapshot_versioned();
+  const std::string before = saved_bytes(*pinned);
+  common::Rng rng(19);
+  for (int i = 0; i < 20; ++i) (void)comp.update(this->batch(rng, 2, 2));
+  EXPECT_EQ(comp.epoch_version(), version + 20);
+  EXPECT_TRUE(saved_bytes(*pinned) == before)
+      << "an update mutated an epoch a reader still pins";
+}
+
+TYPED_TEST(CopyOnWriteEpochs, UpdateCopiesWhatItMutates) {
+  auto comp = this->c.make();
+  const auto old = comp.snapshot();
+  common::Rng rng(29);
+  (void)comp.update(this->batch(rng, 1, 1));
+  const auto cur = comp.snapshot();
+  EXPECT_NE(&TypeParam::data(*old), &TypeParam::data(*cur));
+  EXPECT_NE(&old->structure(), &cur->structure());
+  EXPECT_NE(&old->synopsis(), &cur->synopsis());
+}
+
+// Two failure kinds: the publish throws after the batch was applied, or
+// the updater throws on a bad changed row after the adds and the first
+// changes landed. Neither may leak into the next publish or its delta.
+TYPED_TEST(CopyOnWriteEpochs, FailedUpdateLeavesNoTrace) {
+  for (const bool bad_row : {false, true}) {
+    SCOPED_TRACE(bad_row ? "updater throws" : "publish throws");
+    auto comp = this->c.make();
+    std::vector<synopsis::UpdateBatch> deltas;
+    comp.set_delta_sink([&deltas](const synopsis::UpdateBatch& b,
+                                  std::uint64_t from, std::uint64_t to) {
+      EXPECT_EQ(to, from + 1);
+      deltas.push_back(b);
+    });
+    const std::uint64_t version = comp.epoch_version();
+    const std::string bytes = saved_bytes(comp);
+
+    common::Rng rng(31);
+    synopsis::UpdateBatch failed = this->batch(rng, 3, 2);
+    if (bad_row) {
+      failed.changed.emplace_back(1u << 30, this->c.sample(rng));
+      EXPECT_THROW((void)comp.update(failed), std::out_of_range);
+    } else {
+      fp::set("epoch.publish", "error");
+      EXPECT_THROW((void)comp.update(failed), fp::FailpointError);
+      fp::clear_all();
+    }
+    EXPECT_EQ(comp.epoch_version(), version);
+    EXPECT_TRUE(saved_bytes(comp) == bytes) << "failed update leaked";
+    EXPECT_TRUE(deltas.empty());
+
+    // The next publish equals a fresh component given only that batch.
+    const synopsis::UpdateBatch next = this->batch(rng, 2, 2);
+    (void)comp.update(next);
+    auto fresh = this->c.make();
+    (void)fresh.update(next);
+    EXPECT_TRUE(saved_bytes(comp) == saved_bytes(fresh));
+    ASSERT_EQ(deltas.size(), 1u);
+    EXPECT_EQ(deltas[0].added, next.added);
+    EXPECT_EQ(deltas[0].changed, next.changed);
+  }
+}
+
+TEST(CopyOnWriteSearch, IdfRestampAndAdoptShareThePieces) {
+  SearchCase c;
+  auto comp = c.make();
+  const auto old = comp.snapshot();
+  const auto idf = std::make_shared<const std::vector<double>>(
+      small_corpus_config().vocab_size, 1.0);
+  comp.set_global_idf(idf);
+  const auto cur = comp.snapshot();
+  ASSERT_NE(old.get(), cur.get());
+  EXPECT_EQ(cur->global_idf(), idf);
+  EXPECT_EQ(&old->docs(), &cur->docs());
+  EXPECT_EQ(&old->structure(), &cur->structure());
+  EXPECT_EQ(&old->synopsis(), &cur->synopsis());
+
+  // Reload: the adopted epoch is the loaded one, re-stamped with this
+  // component's idf.
+  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+  comp.save(ss);
+  auto loaded = search::SearchComponent::load(ss);
+  const auto loaded_epoch = loaded.snapshot();
+  comp.adopt(std::move(loaded));
+  const auto adopted = comp.snapshot();
+  EXPECT_EQ(adopted->global_idf(), idf);
+  EXPECT_EQ(&adopted->docs(), &loaded_epoch->docs());
+  EXPECT_EQ(&adopted->structure(), &loaded_epoch->structure());
+  EXPECT_EQ(&adopted->synopsis(), &loaded_epoch->synopsis());
+}
+
+// ---------------------------------------------------------------------------
 // Query-cache staleness at publish time
 // ---------------------------------------------------------------------------
 
@@ -587,7 +747,9 @@ TEST(DeltaStream, SinkFiresPerPublishInVersionOrderAndReplayConverges) {
   ASSERT_EQ(stream.size(), static_cast<std::size_t>(kPublishes));
   for (std::size_t i = 0; i < stream.size(); ++i) {
     EXPECT_EQ(stream[i].to_version, stream[i].from_version + 1);
-    if (i > 0) EXPECT_EQ(stream[i].from_version, stream[i - 1].to_version);
+    if (i > 0) {
+      EXPECT_EQ(stream[i].from_version, stream[i - 1].to_version);
+    }
   }
 
   // Standby replay: applying the tailed batches in order reproduces the
