@@ -36,6 +36,15 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
+// Answer cache bounds (entries + bytes; see QueryCache).
+constexpr std::size_t kCacheEntries = 4096;
+constexpr std::size_t kCacheBytes = std::size_t{4} << 20;
+// A rung is attempted only when remaining_budget >= est_cost * safety.
+constexpr double kLadderSafety = 1.3;
+// Synopsis-tier loss label until calibration measures one (and always for
+// recommend, which has no calibration pass).
+constexpr double kDefaultSynopsisLossPct = 20.0;
+
 double ms_since(SteadyClock::time_point t0) {
   return std::chrono::duration<double, std::milli>(SteadyClock::now() - t0)
       .count();
@@ -86,9 +95,8 @@ Server::Server(search::SearchService& search, reco::CfService* reco,
       reco_(reco),
       exec_(exec),
       config_(std::move(config)),
-      synopsis_loss_pct_(config_.default_synopsis_loss_pct) {
-  cache_ = std::make_unique<search::QueryCache>(config_.cache_capacity,
-                                                config_.cache_max_bytes);
+      synopsis_loss_pct_(kDefaultSynopsisLossPct) {
+  cache_ = std::make_unique<search::QueryCache>(kCacheEntries, kCacheBytes);
 }
 
 Server::~Server() { stop(); }
@@ -519,7 +527,6 @@ Response Server::serve_search(const Request& req, double remaining_ms) {
   Response resp;
   resp.op = Op::kSearch;
   const std::uint64_t epoch = epoch_now();
-  const double safety = config_.ladder_safety;
   // The service's k is fixed at construction; a client asking for fewer
   // docs gets the answer's prefix (the merge order is score desc, doc asc).
   const auto clip = [&req](std::vector<search::ScoredDoc>& docs) {
@@ -541,7 +548,7 @@ Response Server::serve_search(const Request& req, double remaining_ms) {
   }
 
   // Rung 1: full block-decode scan, fault-tolerant per component.
-  if (remaining_ms >= est_full_ms_.load() * safety) {
+  if (remaining_ms >= est_full_ms_.load() * kLadderSafety) {
     try {
       common::Stopwatch sw;
       std::size_t ok = 0;
@@ -574,7 +581,7 @@ Response Server::serve_search(const Request& req, double remaining_ms) {
 
   // Rung 2: synopsis-only answer.
   if (remaining_ms >= 0.0 &&
-      remaining_ms >= est_synopsis_ms_.load() * safety) {
+      remaining_ms >= est_synopsis_ms_.load() * kLadderSafety) {
     try {
       AT_FAILPOINT("server.synopsis");
       common::Stopwatch sw;
@@ -599,8 +606,7 @@ Response Server::serve_search(const Request& req, double remaining_ms) {
     resp.status = Status::kOk;
     resp.tier = Tier::kCached;
     resp.est_loss_pct =
-        cached_meta.loss_pct +
-        (cached_meta.stale ? 0.0 : config_.stale_penalty_pct);
+        cached_meta.loss_pct + (cached_meta.stale ? 0.0 : kStalePenaltyPct);
     resp.docs = std::move(cached);
     clip(resp.docs);
     return resp;
@@ -629,9 +635,8 @@ Response Server::serve_recommend(const Request& req, double remaining_ms) {
             [](const auto& a, const auto& b) { return a.first < b.first; });
   const auto cf_req = reco::CfRequest::make(std::move(ratings),
                                             req.target_item);
-  const double safety = config_.ladder_safety;
 
-  if (remaining_ms >= est_recommend_full_ms_.load() * safety) {
+  if (remaining_ms >= est_recommend_full_ms_.load() * kLadderSafety) {
     try {
       common::Stopwatch sw;
       const double pred = reco_->predict_exact(cf_req);
@@ -644,7 +649,7 @@ Response Server::serve_recommend(const Request& req, double remaining_ms) {
     }
   }
   if (remaining_ms >= 0.0 &&
-      remaining_ms >= est_recommend_syn_ms_.load() * safety) {
+      remaining_ms >= est_recommend_syn_ms_.load() * kLadderSafety) {
     try {
       common::Stopwatch sw;
       // Synopsis-only: AccuracyTrader with zero improvement sets — every
@@ -656,7 +661,7 @@ Response Server::serve_recommend(const Request& req, double remaining_ms) {
       observe_cost(est_recommend_syn_ms_, sw.elapsed_ms());
       resp.status = Status::kOk;
       resp.tier = Tier::kSynopsis;
-      resp.est_loss_pct = config_.default_synopsis_loss_pct;
+      resp.est_loss_pct = kDefaultSynopsisLossPct;
       resp.prediction = pred;
       return resp;
     } catch (...) {
@@ -727,7 +732,7 @@ Response Server::serve_update(const Request& req) {
   const std::uint64_t to = epoch_now();
   // Satellite of the publish: answers computed against the retired epoch
   // stay servable, but only as the stale rung, with the penalty folded in.
-  cache_->mark_stale_epochs(to, config_.stale_penalty_pct);
+  cache_->mark_stale_epochs(to, kStalePenaltyPct);
 
   std::ostringstream os;
   os << "{\"component\": " << req.update_component
@@ -850,18 +855,20 @@ void Server::record(const Response& resp) {
       ++errors_;
       return;
   }
+  const auto add = [&resp](TierStats& t) {
+    t.p50.add(resp.server_ms);
+    t.p99.add(resp.server_ms);
+    t.loss.add(resp.est_loss_pct);
+  };
   switch (resp.tier) {
     case Tier::kFull:
-      lat_full_.add(resp.server_ms);
-      loss_full_.add(resp.est_loss_pct);
+      add(full_);
       break;
     case Tier::kSynopsis:
-      lat_synopsis_.add(resp.server_ms);
-      loss_synopsis_.add(resp.est_loss_pct);
+      add(synopsis_);
       break;
     case Tier::kCached:
-      lat_cached_.add(resp.server_ms);
-      loss_cached_.add(resp.est_loss_pct);
+      add(cached_);
       break;
     case Tier::kNone:
       break;  // ping/stats
@@ -871,18 +878,13 @@ void Server::record(const Response& resp) {
 ServingSnapshot Server::snapshot() const {
   common::MutexLock lock(stats_mutex_);
   ServingSnapshot s;
-  auto fill = [](const common::PercentileTracker& lat,
-                 const common::StreamingStats& loss) {
-    TierSnapshot t;
-    t.count = lat.count();
-    t.p50_ms = lat.median();
-    t.p99_ms = lat.p99();
-    t.mean_loss_pct = loss.mean();
-    return t;
+  auto fill = [](const TierStats& t) {
+    return TierSnapshot{t.loss.count(), t.p50.value(), t.p99.value(),
+                        t.loss.mean()};
   };
-  s.full = fill(lat_full_, loss_full_);
-  s.synopsis = fill(lat_synopsis_, loss_synopsis_);
-  s.cached = fill(lat_cached_, loss_cached_);
+  s.full = fill(full_);
+  s.synopsis = fill(synopsis_);
+  s.cached = fill(cached_);
   s.shed = shed_;
   s.errors = errors_;
   s.accepted = accepted_;
@@ -941,7 +943,7 @@ std::uint64_t Server::epoch_now() const {
 
 void Server::bump_data_epoch() {
   data_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  cache_->mark_stale_epochs(epoch_now(), config_.stale_penalty_pct);
+  cache_->mark_stale_epochs(epoch_now(), kStalePenaltyPct);
 }
 
 void Server::reload_search_component(std::size_t c, std::istream& is) {

@@ -65,6 +65,9 @@
 
 namespace at::server {
 
+/// Loss penalty recorded on top of a stale (previous-epoch) cached answer.
+inline constexpr double kStalePenaltyPct = 10.0;
+
 struct ServerConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  // 0 = ephemeral; read the bound port from port()
@@ -72,17 +75,6 @@ struct ServerConfig {
   std::size_t max_queue_per_group = 64;
   /// Applied when a request carries deadline_ms == 0.
   double default_deadline_ms = 100.0;
-  /// Answer cache bounds (entries + bytes; see QueryCache).
-  std::size_t cache_capacity = 4096;
-  std::size_t cache_max_bytes = std::size_t{4} << 20;
-  /// A rung is attempted only when remaining_budget >= est_cost * safety.
-  double ladder_safety = 1.3;
-  /// Loss penalty recorded on top of a stale (previous-epoch) cached
-  /// answer.
-  double stale_penalty_pct = 10.0;
-  /// Fallback synopsis-tier loss estimate when no calibration queries
-  /// were provided.
-  double default_synopsis_loss_pct = 20.0;
   /// Queries run at start() to seed the per-rung cost EWMAs and measure
   /// the synopsis tier's actual accuracy loss on this corpus.
   std::vector<search::SearchRequest> calibration_queries;
@@ -247,14 +239,17 @@ class Server {
   std::atomic<double> est_recommend_syn_ms_{0.0};
   double synopsis_loss_pct_ = 0.0;
 
-  // Aggregated serving stats.
+  // Aggregated serving stats. Every response records under stats_mutex_,
+  // so each tier is constant-size: P² latency quantiles, not samples.
+  struct TierStats {
+    common::P2Quantile p50{0.5};
+    common::P2Quantile p99{0.99};
+    common::StreamingStats loss;  // its count is the tier's count
+  };
   mutable common::Mutex stats_mutex_;
-  common::PercentileTracker lat_full_ AT_GUARDED_BY(stats_mutex_),
-      lat_synopsis_ AT_GUARDED_BY(stats_mutex_),
-      lat_cached_ AT_GUARDED_BY(stats_mutex_);
-  common::StreamingStats loss_full_ AT_GUARDED_BY(stats_mutex_),
-      loss_synopsis_ AT_GUARDED_BY(stats_mutex_),
-      loss_cached_ AT_GUARDED_BY(stats_mutex_);
+  TierStats full_ AT_GUARDED_BY(stats_mutex_);
+  TierStats synopsis_ AT_GUARDED_BY(stats_mutex_);
+  TierStats cached_ AT_GUARDED_BY(stats_mutex_);
   std::uint64_t shed_ AT_GUARDED_BY(stats_mutex_) = 0;
   std::uint64_t errors_ AT_GUARDED_BY(stats_mutex_) = 0;
   std::uint64_t accepted_ AT_GUARDED_BY(stats_mutex_) = 0;

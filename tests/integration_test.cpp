@@ -3,14 +3,8 @@
 // services, asserting the paper's qualitative results as properties.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <unordered_map>
 
-#include <atomic>
-#include <future>
-
-#include "core/fanout.h"
 #include "services/recommender/service.h"
 #include "services/search/service.h"
 #include "sim/arrivals.h"
@@ -263,79 +257,6 @@ TEST_F(SearchPipeline, PartialCollapsesUnderOverload) {
   const auto heavy =
       eval_technique(core::Technique::kPartialExecution, 40.0);
   EXPECT_GT(heavy.loss_pct, 50.0);
-}
-
-// ---------------------------------------------------------------------------
-// Live end-to-end: real threads, wall-clock deadlines, real service math —
-// the fan-out coordinator serving CF predictions through Algorithm 1.
-// ---------------------------------------------------------------------------
-
-TEST(LiveFanOut, CfServiceUnderWallClockDeadline) {
-  workload::RatingConfig wcfg;
-  wcfg.num_components = 3;
-  wcfg.users_per_component = 200;
-  wcfg.num_items = 80;
-  wcfg.num_clusters = 6;
-  wcfg.seed = 404;
-  workload::RatingWorkloadGen gen(wcfg);
-  auto wl = gen.generate(20, 1);
-  ASSERT_FALSE(wl.requests.empty());
-
-  std::vector<reco::RecommenderComponent> comps;
-  for (auto& subset : wl.subsets) comps.emplace_back(std::move(subset),
-                                                     build_config());
-
-  core::RuntimeConfig rcfg;
-  rcfg.algorithm.deadline_ms = 50.0;
-  core::FanOutCoordinator coord(rcfg, comps.size());
-
-  // Serve every request through the live pipeline and check the merged
-  // prediction equals the offline exact computation whenever all sets
-  // were processed (generous deadline, tiny data).
-  std::atomic<int> mismatches{0};
-  std::vector<std::future<double>> predictions;
-  std::vector<std::shared_ptr<std::promise<double>>> promises;
-  for (std::size_t r = 0; r < wl.requests.size(); ++r) {
-    const auto& request = wl.requests[r];
-    auto works =
-        std::make_shared<std::vector<reco::CfComponentWork>>(comps.size());
-    auto partials =
-        std::make_shared<std::vector<reco::CfPartial>>(comps.size());
-    auto done = std::make_shared<std::promise<double>>();
-    promises.push_back(done);
-    predictions.push_back(done->get_future());
-
-    coord.dispatch(
-        [&comps, &request, works, partials](std::size_t c) {
-          (*works)[c] = comps[c].analyze(request);
-          (*partials)[c] = (*works)[c].stage1();
-          return (*works)[c].correlations;
-        },
-        [works, partials](std::size_t c, std::size_t group) {
-          (*partials)[c].subtract((*works)[c].agg_by_group[group]);
-          (*partials)[c].merge((*works)[c].real_by_group[group]);
-        },
-        [&request, partials, done](const core::FanOutResult& res) {
-          reco::CfPartial merged;
-          for (std::size_t c = 0; c < partials->size(); ++c) {
-            if (res.components[c].accepted) merged.merge((*partials)[c]);
-          }
-          done->set_value(reco::predict(request, merged, 1.0, 5.0));
-        });
-  }
-  for (std::size_t r = 0; r < predictions.size(); ++r) {
-    const double live = predictions[r].get();
-    // Recompute the exact prediction offline.
-    reco::CfPartial exact;
-    for (auto& comp : comps) exact.merge(comp.analyze(wl.requests[r]).exact());
-    const double offline = reco::predict(wl.requests[r], exact, 1.0, 5.0);
-    if (std::abs(live - offline) > 1e-6) mismatches++;
-  }
-  coord.shutdown();
-  // With a 50 ms deadline and ~200-user subsets, virtually every request
-  // should have processed all sets; allow a small number of slow-machine
-  // stragglers that stopped early (they are approximate, not wrong).
-  EXPECT_LE(mismatches.load(), static_cast<int>(predictions.size() / 4));
 }
 
 }  // namespace

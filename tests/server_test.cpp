@@ -413,17 +413,25 @@ TEST_F(ServerTest, ServesFullTierAndCachesRepeats) {
   for (std::size_t i = 0; i < exact.size(); ++i)
     EXPECT_EQ(resp.docs[i].doc, exact[i].doc);
 
-  Response again;
-  ASSERT_TRUE(client.search(terms, 1000, 10, &again, &err)) << err;
-  EXPECT_EQ(again.status, Status::kOk);
-  EXPECT_EQ(again.tier, Tier::kCached);
-  EXPECT_DOUBLE_EQ(again.est_loss_pct, 0.0);
-  ASSERT_EQ(again.docs.size(), resp.docs.size());
-  EXPECT_EQ(again.docs.front().doc, resp.docs.front().doc);
+  // Enough repeats to take the P² latency estimates past their exact
+  // 5-sample start: the tier stats still count every answer.
+  constexpr std::uint64_t kRepeats = 20;
+  for (std::uint64_t i = 0; i < kRepeats; ++i) {
+    Response again;
+    ASSERT_TRUE(client.search(terms, 1000, 10, &again, &err)) << err;
+    EXPECT_EQ(again.status, Status::kOk);
+    EXPECT_EQ(again.tier, Tier::kCached);
+    EXPECT_DOUBLE_EQ(again.est_loss_pct, 0.0);
+    ASSERT_EQ(again.docs.size(), resp.docs.size());
+    EXPECT_EQ(again.docs.front().doc, resp.docs.front().doc);
+  }
 
   const auto snap = srv.snapshot();
   EXPECT_EQ(snap.full.count, 1u);
-  EXPECT_EQ(snap.cached.count, 1u);
+  EXPECT_EQ(snap.cached.count, kRepeats);
+  EXPECT_GT(snap.full.p50_ms, 0.0);
+  EXPECT_GT(snap.cached.p50_ms, 0.0);
+  EXPECT_GT(snap.cached.p99_ms, 0.0);
   srv.stop();
 }
 
@@ -607,8 +615,7 @@ TEST_F(ServerTest, OneComponentDeadYieldsMarkedPartialFullAnswer) {
 
 TEST_F(ServerTest, StaleCacheServesWithPenaltyWhenAllRungsFail) {
   auto& fx = fixture();
-  ServerConfig cfg = test_server_config();
-  Server srv(*fx.service, nullptr, *fx.exec, cfg);
+  Server srv(*fx.service, nullptr, *fx.exec, test_server_config());
   srv.start();
   Client client(client_config(srv.port()));
   const auto& terms = fx.queries[15].terms;
@@ -624,7 +631,7 @@ TEST_F(ServerTest, StaleCacheServesWithPenaltyWhenAllRungsFail) {
   ASSERT_TRUE(client.search(terms, 1000, 10, &resp, &err)) << err;
   EXPECT_EQ(resp.status, Status::kOk);
   EXPECT_EQ(resp.tier, Tier::kCached);
-  EXPECT_NEAR(resp.est_loss_pct, cfg.stale_penalty_pct, 1e-9);
+  EXPECT_NEAR(resp.est_loss_pct, kStalePenaltyPct, 1e-9);
   EXPECT_EQ(resp.docs.size(), prime.docs.size());
   srv.stop();
 }
@@ -648,6 +655,40 @@ TEST_F(ServerTest, NothingLeftSheds) {
   Response healed;
   ASSERT_TRUE(client.search(fx.queries[16].terms, 1000, 10, &healed, &err));
   EXPECT_EQ(healed.tier, Tier::kFull);
+  srv.stop();
+}
+
+TEST_F(ServerTest, TimeBeforeServiceCountsAgainstTheDeadline) {
+  // A request's rungs get its deadline minus everything spent since
+  // admission. A 60 ms stall at dispatch against a 50 ms deadline leaves a
+  // negative budget on any host: neither the scan nor the synopsis rung
+  // may run, so a stale cached answer is the best left, and a query with
+  // nothing cached sheds.
+  auto& fx = fixture();
+  Server srv(*fx.service, nullptr, *fx.exec, test_server_config());
+  srv.start();
+  Client client(client_config(srv.port(), /*retries=*/0));
+  const auto& primed = fx.queries[17].terms;
+
+  Response prime;
+  std::string err;
+  ASSERT_TRUE(client.search(primed, 1000, 10, &prime, &err)) << err;
+  ASSERT_EQ(prime.tier, Tier::kFull);
+  srv.bump_data_epoch();  // the primed entry is stale now
+
+  fp::set("server.dispatch", "delay:60:x1");
+  Response stale;
+  ASSERT_TRUE(client.search(primed, 50, 10, &stale, &err)) << err;
+  EXPECT_EQ(stale.status, Status::kOk);
+  EXPECT_EQ(stale.tier, Tier::kCached);
+  EXPECT_NEAR(stale.est_loss_pct, kStalePenaltyPct, 1e-9);
+  EXPECT_GE(stale.server_ms, 60.0);
+
+  fp::set("server.dispatch", "delay:60:x1");
+  Response shed;
+  EXPECT_FALSE(client.search(fx.queries[18].terms, 50, 10, &shed, &err));
+  EXPECT_EQ(shed.status, Status::kShed);
+  EXPECT_EQ(shed.tier, Tier::kNone);
   srv.stop();
 }
 
@@ -806,8 +847,7 @@ std::unique_ptr<search::SearchService> private_service() {
 TEST_F(ServerTest, UpdateOpRetrainsPublishesEpochAndMarksCacheStale) {
   auto service = private_service();
   auto& fx = fixture();
-  ServerConfig cfg = test_server_config();
-  Server srv(*service, nullptr, *fx.exec, cfg);
+  Server srv(*service, nullptr, *fx.exec, test_server_config());
   srv.start();
   Client client(client_config(srv.port()));
   const auto& terms = fx.queries[2].terms;
@@ -837,7 +877,7 @@ TEST_F(ServerTest, UpdateOpRetrainsPublishesEpochAndMarksCacheStale) {
   Response stale;
   ASSERT_TRUE(client.search(terms, 1000, 10, &stale, &err)) << err;
   EXPECT_EQ(stale.tier, Tier::kCached);
-  EXPECT_NEAR(stale.est_loss_pct, cfg.stale_penalty_pct, 1e-9);
+  EXPECT_NEAR(stale.est_loss_pct, kStalePenaltyPct, 1e-9);
   fp::clear_all();
 
   // And a live recompute works against the new epoch.
@@ -1155,6 +1195,52 @@ TEST_F(ServerTest, RecommendWithoutServiceIsBadRequest) {
   ASSERT_TRUE(client.recommend(3, {{1, 4.0}, {2, 2.5}}, 100, &resp, &err))
       << err;
   EXPECT_EQ(resp.status, Status::kBadRequest);
+  srv.stop();
+}
+
+TEST_F(ServerTest, LiveRecommendAnswersTheExactPrediction) {
+  // Over TCP, on the executor, a full-tier recommend is the offline exact
+  // prediction bit for bit; time lost before service still sheds it.
+  workload::RatingConfig rcfg;
+  rcfg.num_components = 3;
+  rcfg.users_per_component = 200;
+  rcfg.num_items = 80;
+  rcfg.num_clusters = 6;
+  rcfg.seed = 404;
+  workload::RatingWorkloadGen rgen(rcfg);
+  auto rwl = rgen.generate(20, 1);
+  ASSERT_FALSE(rwl.requests.empty());
+  synopsis::BuildConfig bcfg;
+  bcfg.svd.rank = 2;
+  bcfg.svd.epochs_per_dim = 40;
+  bcfg.size_ratio = 12.0;
+  std::vector<reco::RecommenderComponent> rcomps;
+  for (auto& subset : rwl.subsets) rcomps.emplace_back(std::move(subset), bcfg);
+  reco::CfService reco(std::move(rcomps), rcfg.min_rating, rcfg.max_rating);
+  auto& fx = fixture();
+  reco.set_executor(fx.exec.get());
+
+  Server srv(*fx.service, &reco, *fx.exec, test_server_config());
+  srv.start();
+  Client client(client_config(srv.port(), /*retries=*/0));
+  std::string err;
+  for (const auto& request : rwl.requests) {
+    Response resp;
+    ASSERT_TRUE(client.recommend(request.target_item, request.ratings, 1000,
+                                 &resp, &err))
+        << err;
+    EXPECT_EQ(resp.status, Status::kOk);
+    EXPECT_EQ(resp.tier, Tier::kFull);
+    EXPECT_EQ(resp.prediction, reco.predict_exact(request));
+  }
+
+  fp::set("server.dispatch", "delay:60:x1");
+  Response shed;
+  const auto& request = rwl.requests.front();
+  EXPECT_FALSE(
+      client.recommend(request.target_item, request.ratings, 50, &shed, &err));
+  EXPECT_EQ(shed.status, Status::kShed);
+  EXPECT_EQ(shed.tier, Tier::kNone);
   srv.stop();
 }
 

@@ -31,8 +31,7 @@ else
   FILES=$(git ls-files \
       'src/common/thread_annotations.h' 'src/common/thread_pool.*' \
       'src/common/sharded_executor.*' 'src/common/failpoint.cpp' \
-      'src/common/logging.cpp' 'src/core/runtime.*' 'src/core/fanout.cpp' \
-      'src/server/*.cpp' 'src/server/*.h' \
+      'src/common/logging.cpp' 'src/server/*.cpp' 'src/server/*.h' \
       'src/services/search/query_cache.*' 'tools/atlint/*.cpp')
 fi
 
