@@ -138,8 +138,9 @@ void ShardedExecutor::for_each_shard_grouped(
     std::size_t n, const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
   // Fault-injection site: a delay here inflates every grouped fan-out
-  // (the serving front end's query path), an error makes dispatch itself
-  // fail — both must surface as degraded-tier answers, never crashes.
+  // (on the serving front end, the synopsis rung and recommends), an error
+  // makes dispatch itself fail — both must surface as degraded-tier
+  // answers, never crashes.
   AT_FAILPOINT("executor.dispatch");
   const std::size_t G = groups_.size();
   std::vector<std::future<void>> futs;

@@ -78,11 +78,13 @@ struct Server::Job {
   std::promise<Response> done;
 };
 
-struct Server::GroupQueue {
+struct Server::WorkQueue {
+  explicit WorkQueue(std::size_t n) : workers(n) {}
+  const std::size_t workers;  // threads draining this queue
   common::Mutex mutex;
   common::CondVar cv;
   std::deque<Job> jobs AT_GUARDED_BY(mutex);
-  bool open AT_GUARDED_BY(mutex) = true;  // false: worker drains and exits
+  bool open AT_GUARDED_BY(mutex) = true;  // false: workers drain and exit
 };
 
 // ---------------------------------------------------------------------------
@@ -152,12 +154,17 @@ void Server::start() {
   }
 
   stopping_.store(false);
-  const std::size_t groups = std::max<std::size_t>(1, exec_.num_groups());
-  queues_.clear();
-  for (std::size_t g = 0; g < groups; ++g)
-    queues_.push_back(std::make_unique<GroupQueue>());
-  for (std::size_t g = 0; g < groups; ++g)
-    workers_.emplace_back([this, g] { worker_loop(g); });
+  // Each group's read queue gets one worker per CPU of the group; the one
+  // writer lane keeps updates in arrival order, off the read workers.
+  read_queues_.clear();
+  for (std::size_t g = 0; g < exec_.num_groups(); ++g)
+    read_queues_.push_back(std::make_unique<WorkQueue>(exec_.group_size(g)));
+  writer_ = std::make_unique<WorkQueue>(1);
+  for (auto& q : read_queues_) {
+    for (std::size_t w = 0; w < q->workers; ++w)
+      workers_.emplace_back([this, rq = q.get()] { worker_loop(*rq); });
+  }
+  workers_.emplace_back([this] { worker_loop(*writer_); });
   running_.store(true, std::memory_order_release);
   acceptor_ = std::thread([this] { acceptor_loop(); });
   AT_LOG_DEBUG << "server: listening on " << config_.host << ":" << port_;
@@ -179,14 +186,16 @@ void Server::stop() {
   }
   if (acceptor_.joinable()) acceptor_.join();
 
-  // 2. Drain the serving queues: workers finish every admitted request
-  //    (their promises must be fulfilled — connection threads are waiting
-  //    on them), then exit.
-  for (auto& q : queues_) {
-    common::MutexLock lock(q->mutex);
-    q->open = false;
-    q->cv.notify_all();
-  }
+  // 2. Drain the read queues and the writer lane: workers finish every
+  //    admitted request (their promises must be fulfilled — connection
+  //    threads are waiting on them), then exit.
+  const auto close_queue = [](WorkQueue& q) {
+    common::MutexLock lock(q.mutex);
+    q.open = false;
+    q.cv.notify_all();
+  };
+  for (auto& q : read_queues_) close_queue(*q);
+  if (writer_ != nullptr) close_queue(*writer_);
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
@@ -223,7 +232,8 @@ void Server::stop() {
     if (victim->thread.joinable()) victim->thread.join();
     if (victim->fd >= 0) ::close(victim->fd);
   }
-  queues_.clear();
+  read_queues_.clear();
+  writer_.reset();
   running_.store(false, std::memory_order_release);
 }
 
@@ -232,17 +242,22 @@ void Server::stop() {
 // ---------------------------------------------------------------------------
 
 void Server::calibrate() {
-  if (config_.calibration_queries.empty()) return;
   common::StreamingStats full_ms, syn_ms, loss;
   for (const auto& q : config_.calibration_queries) {
+    // Times the call the full rung makes, on this thread as a read worker
+    // would run it.
+    std::size_t ok = 0;
     common::Stopwatch sw;
-    const auto exact = search_.exact_topk(q);
-    full_ms.add(sw.elapsed_ms());
+    const auto exact = search_.exact_topk_partial(q, &ok);
+    const double scan_ms = sw.elapsed_ms();
+    if (ok < search_.num_components()) continue;  // a failed scan: no sample
+    full_ms.add(scan_ms);
     sw.reset();
     const auto syn = search_.synopsis_topk(q);
     syn_ms.add(sw.elapsed_ms());
     loss.add((1.0 - search::topk_overlap(syn, exact)) * 100.0);
   }
+  if (full_ms.count() == 0) return;
   est_full_ms_.store(full_ms.mean());
   est_synopsis_ms_.store(syn_ms.mean());
   synopsis_loss_pct_ = loss.mean();
@@ -414,11 +429,13 @@ bool Server::admit(Request req, Response* shed_resp,
   shed_resp->request_id = req.request_id;
   shed_resp->op = req.op;
 
-  const std::size_t g =
-      static_cast<std::size_t>(rr_next_group_.fetch_add(
-          1, std::memory_order_relaxed)) %
-      queues_.size();
-  GroupQueue& q = *queues_[g];
+  // Updates go to the writer lane; reads round-robin over the groups.
+  WorkQueue* lane = writer_.get();
+  if (req.op != Op::kUpdate) {
+    const auto n = rr_next_group_.fetch_add(1, std::memory_order_relaxed);
+    lane = read_queues_[n % read_queues_.size()].get();
+  }
+  WorkQueue& q = *lane;
   // Decide under the queue lock, count under the stats lock — never both
   // at once (the stats lock is hot on the serving path).
   bool enqueued = false;
@@ -429,9 +446,11 @@ bool Server::admit(Request req, Response* shed_resp,
       shed_resp->text = "server shutting down";
       return false;
     }
+    // The queue ahead drains across all of the queue's workers at once.
     const std::size_t depth = q.jobs.size();
-    const double est_wait_ms =
-        static_cast<double>(depth) * std::max(est_full_ms_.load(), 0.1);
+    const double per_job_ms =
+        std::max(est_full_ms_.load(), 0.1) / static_cast<double>(q.workers);
+    const double est_wait_ms = static_cast<double>(depth) * per_job_ms;
     // Shed when the queue is at its bound, or when the deadline is already
     // unmeetable at enqueue time (the queue ahead alone eats the budget —
     // serving this request would waste work the deadline makes worthless).
@@ -462,8 +481,7 @@ bool Server::admit(Request req, Response* shed_resp,
   return enqueued;
 }
 
-void Server::worker_loop(std::size_t g) {
-  GroupQueue& q = *queues_[g];
+void Server::worker_loop(WorkQueue& q) {
   for (;;) {
     Job job;
     {
@@ -563,7 +581,7 @@ Response Server::serve_search(const Request& req, double remaining_ms) {
             total > 0 ? 100.0 * static_cast<double>(total - ok) /
                             static_cast<double>(total)
                       : 0.0;
-        // Only cache when no epoch was published mid-scan: a fan-out that
+        // Only cache when no epoch was published mid-scan: a scan that
         // straddled a publish may merge rows from two epochs, and such an
         // answer must not be stamped fresh.
         if (ok == total && epoch_now() == epoch) {

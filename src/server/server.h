@@ -3,12 +3,30 @@
 // against.
 //
 // Threading: one acceptor thread; one frame-I/O thread per connection;
-// one serving worker per executor group ("thread-per-group"), each
-// draining its own bounded request queue and dispatching query fan-out
-// onto the ShardedExecutor. Admission control runs at enqueue time: a
-// request whose deadline is already unmeetable given the queue ahead of
-// it — or that would overflow the group's queue bound — is shed
-// immediately with a retry-after hint instead of rotting in the queue.
+// per executor group, one bounded read queue drained by W read workers,
+// W = the group's CPU count (ShardedExecutor::group_size); and one writer
+// lane for the whole server, a FIFO queue with one thread, that runs
+// every kUpdate. A read worker runs each search or recommend to
+// completion on its own thread. A publish therefore never holds a read
+// worker, and updates still apply one at a time in arrival order.
+//
+// The live scan does not fan out: SearchService::exact_topk_partial scans
+// the components in order on the read worker. Fanning a query across the
+// executor pool trims its latency a little but costs about twice the CPU,
+// and under overload the CPU is what the deadlines wait for. On the
+// benchmark's `burst` workload (single 15 s runs, server on 3 vCPUs of a
+// 4-vCPU Xeon), the share of searches that met their deadline was 0.762
+// with one worker fanning out every query, 0.834 with 3 workers that each
+// fan out, 0.841 with 3 workers that fan out only when the read queue is
+// empty, and 0.932 with 3 workers that run each query to completion. The
+// adaptive rule fails here because each connection holds one request at a
+// time: the read queue looks empty while the burst waits in the sockets.
+//
+// Admission control runs at enqueue time: a request whose deadline is
+// already unmeetable given the queue ahead of it (its depth times the
+// full-scan estimate, divided by the queue's worker count), or that would
+// overflow the queue's bound, is shed immediately with a retry-after hint
+// instead of rotting in the queue.
 //
 // Degradation ladder, walked as the remaining deadline budget shrinks
 // (each rung's cost is a live EWMA of observed executions, seeded by a
@@ -71,7 +89,8 @@ inline constexpr double kStalePenaltyPct = 10.0;
 struct ServerConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  // 0 = ephemeral; read the bound port from port()
-  /// Admission bound: pending requests per serving group.
+  /// Admission bound: pending requests per queue (each group's read queue
+  /// and the writer lane).
   std::size_t max_queue_per_group = 64;
   /// Applied when a request carries deadline_ms == 0.
   double default_deadline_ms = 100.0;
@@ -128,12 +147,14 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, calibrates, spawns acceptor + per-group workers. Throws
-  /// std::runtime_error when the socket cannot be bound.
+  /// Binds, calibrates, spawns the acceptor, the read workers and the
+  /// writer lane. Throws std::runtime_error when the socket cannot be
+  /// bound.
   void start();
 
-  /// Stops accepting, drains every queued request, joins all threads.
-  /// Idempotent.
+  /// Stops accepting, drains every queued request, joins all threads. The
+  /// writer lane drains before the delta sinks detach, so every applied
+  /// update's delta is written. Idempotent.
   void stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -173,11 +194,11 @@ class Server {
 
  private:
   struct Job;
-  struct GroupQueue;
+  struct WorkQueue;
 
   void acceptor_loop();
   void connection_loop(int fd, std::uint64_t conn_id);
-  void worker_loop(std::size_t g);
+  void worker_loop(WorkQueue& q);
 
   /// Admission decision + enqueue; returns false when the request was
   /// shed or refused (then *shed_resp is the response to send), true when
@@ -213,7 +234,10 @@ class Server {
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
   std::thread acceptor_;
-  std::vector<std::unique_ptr<GroupQueue>> queues_;
+  // One read queue per executor group, and the writer lane that takes
+  // every kUpdate in arrival order; workers_ holds all their threads.
+  std::vector<std::unique_ptr<WorkQueue>> read_queues_;
+  std::unique_ptr<WorkQueue> writer_;
   std::vector<std::thread> workers_;
   std::atomic<std::uint64_t> rr_next_group_{0};
 

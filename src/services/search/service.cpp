@@ -1,7 +1,6 @@
 #include "services/search/service.h"
 
 #include <algorithm>
-#include <atomic>
 #include <istream>
 #include <stdexcept>
 #include <string>
@@ -145,30 +144,29 @@ std::vector<ScoredDoc> SearchService::exact_topk(
 
 std::vector<ScoredDoc> SearchService::exact_topk_partial(
     const SearchRequest& request, std::size_t* components_ok) const {
-  std::atomic<std::size_t> ok{0};
+  // Sequential on the calling thread: see the header.
+  std::size_t ok = 0;
   TopK top(k_);
-  fan_out_topk(
-      [&](std::size_t c) -> std::vector<ScoredDoc> {
-        try {
-          // Fault-injection sites: "server.scan" kills every component's
-          // scan, "server.scan.c<C>" kills one component (its home
-          // executor group) mid-query.
-          if (common::failpoint::any_armed()) {
-            common::failpoint::check_throw("server.scan");
-            common::failpoint::check_throw(
-                ("server.scan.c" + std::to_string(c)).c_str());
-          }
-          auto local = components_[c].exact_topk(request, k_);
-          ok.fetch_add(1, std::memory_order_relaxed);
-          return local;
-        } catch (...) {
-          // The component is unavailable (its group died mid-query, its
-          // scan hit an injected fault); the merge proceeds without it.
-          return {};
-        }
-      },
-      top);
-  if (components_ok != nullptr) *components_ok = ok.load();
+  for (std::size_t c = 0; c < components_.size(); ++c) {
+    std::vector<ScoredDoc> local;
+    try {
+      // Fault-injection sites: "server.scan" kills every component's scan,
+      // "server.scan.c<C>" kills one component mid-query.
+      if (common::failpoint::any_armed()) {
+        common::failpoint::check_throw("server.scan");
+        common::failpoint::check_throw(
+            ("server.scan.c" + std::to_string(c)).c_str());
+      }
+      local = components_[c].exact_topk(request, k_);
+    } catch (...) {
+      // The component is unavailable (its scan hit an artifact or injected
+      // fault); the merge proceeds without it.
+      continue;
+    }
+    ++ok;
+    for (const auto& d : local) top.offer(d);
+  }
+  if (components_ok != nullptr) *components_ok = ok;
   return top.take();
 }
 

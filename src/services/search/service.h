@@ -64,14 +64,16 @@ class SearchService {
   IndexSizeStats index_size() const;
 
   /// Installs a topology-aware executor: every component is assigned a
-  /// home group (round-robin over the executor's nodes), its update/build
-  /// work runs on that group's pinned pool, and query fan-out dispatches
-  /// each component to its home group, collecting into one top-k heap per
-  /// node that is merged at the end. The scoring order (score desc, doc
-  /// asc) is a strict total order over globally unique doc ids, so the
-  /// per-node merge is bit-identical to the sequential component-order
-  /// scan (pinned by tests). The caller owns the executor's lifetime; pass
-  /// nullptr to run every component sequentially on the calling thread.
+  /// home group (round-robin over the executor's nodes) and its
+  /// update/build work runs on that group's pinned pool. exact_topk,
+  /// synopsis_topk and retrieve fan out: each component is dispatched to
+  /// its home group, collecting into one top-k heap per node that is
+  /// merged at the end. exact_topk_partial, the live server's scan, never
+  /// fans out. The scoring order (score desc, doc asc) is a strict total
+  /// order over globally unique doc ids, so the per-node merge is
+  /// bit-identical to the sequential component-order scan (pinned by
+  /// tests). The caller owns the executor's lifetime; pass nullptr to run
+  /// every component sequentially on the calling thread.
   void set_executor(common::ShardedExecutor* exec);
   common::ShardedExecutor* executor() const { return exec_; }
 
@@ -86,11 +88,18 @@ class SearchService {
   /// Exact global top-k.
   std::vector<ScoredDoc> exact_topk(const SearchRequest& request) const;
 
-  /// Fault-tolerant exact top-k: a component whose scan throws (dead
-  /// worker group, artifact fault, injected failpoint) contributes
-  /// nothing instead of failing the query. `components_ok` (may be null)
-  /// receives how many components actually contributed, so callers can
-  /// mark the answer degraded and estimate its accuracy loss.
+  /// Fault-tolerant exact top-k: a component whose scan throws (artifact
+  /// fault, injected failpoint) contributes nothing instead of failing the
+  /// query. `components_ok` (may be null) receives how many components
+  /// actually contributed, so callers can mark the answer degraded and
+  /// estimate its accuracy loss.
+  ///
+  /// Runs on the calling thread, components in order, even with an
+  /// executor installed. The server calls it from one read worker per CPU,
+  /// each running a search to completion; fanning out on top of that would
+  /// roughly double the CPU per query for a slightly lower latency, which
+  /// loses deadlines under overload (see server.h). The answer is
+  /// bit-identical to exact_topk's.
   std::vector<ScoredDoc> exact_topk_partial(const SearchRequest& request,
                                             std::size_t* components_ok) const;
 

@@ -1,8 +1,9 @@
 // Serving front end tests: wire protocol round-trips and malformed-frame
-// fuzzing, frame reassembly, admission control, the degradation ladder
-// under injected faults (dead component scans, artifact errors, socket
-// resets, short writes), cache staleness via data epochs, component
-// reloads, and shutdown under load. The fault-injection cases all assert
+// fuzzing, frame reassembly, admission control, read workers serving in
+// parallel, the degradation ladder under injected faults (dead component
+// scans, artifact errors, socket resets, short writes), cache staleness
+// via data epochs, updates on the writer lane, component reloads, and
+// shutdown under load. The fault-injection cases all assert
 // the same contract: degraded-or-error, never a crash, and full recovery
 // once the failpoint clears.
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <fstream>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -557,9 +559,59 @@ TEST_F(ServerTest, ClientIsSafeForConcurrentCalls) {
   srv.stop();
 }
 
+TEST_F(ServerTest, ReadWorkersServeInParallelOnAnyHost) {
+  // One group of three CPUs, all of them CPU 0 (parse_topology would
+  // dedupe the repeats): three read workers even on a one-CPU host.
+  common::Topology topo;
+  topo.node_cpus = {{0, 0, 0}};
+  common::ShardedExecutor exec(topo);
+  ASSERT_EQ(exec.group_size(0), 3u);
+  auto& fx = fixture();
+  Server srv(*fx.service, nullptr, exec, test_server_config());
+  srv.start();
+
+  // Three searches, each stalled 200 ms at dispatch. Side by side they
+  // each answer in about 200 ms; behind one worker they would take 200,
+  // 400 and 600 ms.
+  fp::set("server.dispatch", "delay:200:x3");
+  Response resps[3];
+  std::string errs[3];
+  bool answered[3] = {false, false, false};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 3; ++t) {
+    threads.emplace_back([&, t] {
+      Client client(client_config(srv.port(), /*retries=*/0));
+      answered[t] = client.search(fx.queries[21 + t].terms, 2000, 10,
+                                  &resps[t], &errs[t]);
+    });
+  }
+  for (auto& th : threads) th.join();
+  srv.stop();
+  for (std::size_t t = 0; t < 3; ++t) {
+    EXPECT_TRUE(answered[t]) << errs[t];
+    EXPECT_EQ(resps[t].status, Status::kOk) << "search " << t;
+    EXPECT_LT(resps[t].server_ms, 300.0) << "search " << t;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The ladder under injected faults
 // ---------------------------------------------------------------------------
+
+TEST_F(ServerTest, CalibrationSkipsScansThatFail) {
+  // Startup calibration runs the live scan, failpoints included. A scan
+  // that lost a component is no sample: it would time a partial scan and
+  // score the synopsis against a partial answer (a loss of 0).
+  auto& fx = fixture();
+  fp::set("server.scan", "error");
+  Server srv(*fx.service, nullptr, *fx.exec, test_server_config());
+  srv.start();
+  fp::clear_all();
+  const auto snap = srv.snapshot();
+  EXPECT_EQ(snap.est_full_ms, 0.0);
+  EXPECT_GT(snap.synopsis_loss_pct, 0.0);
+  srv.stop();
+}
 
 TEST_F(ServerTest, AllScansDeadFallsToSynopsisAndRecovers) {
   auto& fx = fixture();
@@ -895,6 +947,49 @@ TEST_F(ServerTest, UpdateOpRetrainsPublishesEpochAndMarksCacheStale) {
   EXPECT_NE(json.find("\"epoch_version\""), std::string::npos);
   EXPECT_NE(json.find("\"epoch_published\""), std::string::npos);
   EXPECT_NE(json.find("\"epoch_retired\""), std::string::npos);
+  srv.stop();
+}
+
+TEST_F(ServerTest, StalledPublishDoesNotHoldUpASearch) {
+  // Updates run on the writer lane, never on a read worker: a search sent
+  // while a publish is stalled answers in its own scan time. One read
+  // worker (a one-CPU group), so on any host the search would wait out
+  // the stall if the update held that worker.
+  common::Topology topo;
+  topo.node_cpus = {{0}};
+  common::ShardedExecutor exec(topo);
+  auto service = private_service();
+  auto& fx = fixture();
+  Server srv(*service, nullptr, exec, test_server_config());
+  srv.start();
+
+  fp::set("epoch.publish", "delay:300:x1");
+  Response up;
+  std::string up_err;
+  bool up_answered = false;
+  std::thread updater([&] {
+    Client client(client_config(srv.port()));
+    up_answered = client.update(0, 3, 2, 42, 5000, &up, &up_err);
+  });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (fp::hits("epoch.publish") < 1 &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(fp::hits("epoch.publish"), 1u);
+
+  Client client(client_config(srv.port()));
+  Response resp;
+  std::string err;
+  EXPECT_TRUE(client.search(fx.queries[20].terms, 2000, 10, &resp, &err))
+      << err;
+  EXPECT_EQ(resp.status, Status::kOk);
+  EXPECT_EQ(resp.tier, Tier::kFull);
+  EXPECT_LT(resp.server_ms, 150.0);
+
+  updater.join();
+  EXPECT_TRUE(up_answered) << up_err;
+  EXPECT_EQ(up.status, Status::kOk) << up.text;
   srv.stop();
 }
 

@@ -495,6 +495,9 @@ TEST(ShardedFanout, SearchTopkBitIdenticalAcrossLayouts) {
     service.set_executor(&exec);
     for (std::size_t i = 0; i < wl.queries.size(); ++i) {
       expect_same_docs(service.exact_topk(wl.queries[i]), reference[i]);
+      // The live server's sequential scan answers the same on every layout.
+      expect_same_docs(service.exact_topk_partial(wl.queries[i], nullptr),
+                       reference[i]);
       // Techniques fan out through the same dispatch; spot-check a few.
       if (i < 5) {
         const auto seq = service.retrieve(

@@ -19,11 +19,17 @@
 //                        per component + the global idf) into directory P
 //                        right after startup; prints "CHECKPOINT <dir>"
 //
+// A bad flag value (--components or --docs not positive, a negative
+// --queue or --deadline, a --port outside 0-65535) or any setup failure
+// prints "at_server: <what>" and exits 1.
+//
 // Fault injection: arm failpoints via AT_FAILPOINTS (see README).
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,6 +65,10 @@ std::string arg_str(int argc, char** argv, const char* name,
   return def;
 }
 
+void require(bool ok, const char* what) {
+  if (!ok) throw std::invalid_argument(what);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -73,59 +83,72 @@ int main(int argc, char** argv) {
   const std::string delta_dir = arg_str(argc, argv, "--delta-dir", "");
   const std::string ckpt_dir = arg_str(argc, argv, "--ckpt-dir", "");
 
-  // Search corpus + service.
-  workload::CorpusConfig ccfg;
-  ccfg.num_components = static_cast<std::size_t>(components);
-  ccfg.docs_per_component = static_cast<std::size_t>(docs);
-  ccfg.seed = 20160816;
-  workload::CorpusGen gen(ccfg);
-  auto wl = gen.generate(16);  // the 16 queries seed calibration
-
-  synopsis::BuildConfig bcfg;
-  bcfg.svd.rank = 3;
-  bcfg.svd.epochs_per_dim = 30;
-  bcfg.size_ratio = 12.0;
-
-  std::vector<search::SearchComponent> comps;
-  std::uint64_t base = 0;
-  for (auto& shard : wl.shards) {
-    const auto n = shard.rows();
-    comps.emplace_back(std::move(shard), base, bcfg);
-    base += n;
-  }
-  search::SearchService search(std::move(comps), 10);
-  common::ShardedExecutor exec;
-  search.set_executor(&exec);
-
-  // Small CF recommender so the recommend op is live.
+  // Declared outside the try so they outlive it; destroyed in reverse
+  // order, the server first.
+  std::unique_ptr<search::SearchService> search;
+  std::unique_ptr<common::ShardedExecutor> exec;
   std::unique_ptr<reco::CfService> reco;
-  if (!no_reco) {
-    workload::RatingConfig rcfg;
-    rcfg.num_components = 4;
-    rcfg.users_per_component = 120;
-    rcfg.num_items = 256;
-    rcfg.seed = 20160816;
-    workload::RatingWorkloadGen rgen(rcfg);
-    auto rwl = rgen.generate(8, 1);
-    std::vector<reco::RecommenderComponent> rcomps;
-    for (auto& subset : rwl.subsets) rcomps.emplace_back(std::move(subset), bcfg);
-    reco = std::make_unique<reco::CfService>(std::move(rcomps),
-                                             rcfg.min_rating, rcfg.max_rating);
-    reco->set_executor(&exec);
-  }
-
-  server::ServerConfig scfg;
-  scfg.port = static_cast<std::uint16_t>(port);
-  scfg.max_queue_per_group = static_cast<std::size_t>(queue);
-  scfg.default_deadline_ms = static_cast<double>(deadline);
-  scfg.delta_dir = delta_dir;
-  scfg.calibration_queries = wl.queries;
-
-  server::Server server(search, reco.get(), exec, scfg);
+  std::unique_ptr<server::Server> server;
   try {
-    server.start();
+    require(components > 0, "--components must be positive");
+    require(docs > 0, "--docs must be positive");
+    require(queue >= 0, "--queue must not be negative");
+    require(deadline >= 0, "--deadline must not be negative");
+    require(port >= 0 && port <= 65535, "--port must be in 0-65535");
+
+    // Search corpus + service.
+    workload::CorpusConfig ccfg;
+    ccfg.num_components = static_cast<std::size_t>(components);
+    ccfg.docs_per_component = static_cast<std::size_t>(docs);
+    ccfg.seed = 20160816;
+    workload::CorpusGen gen(ccfg);
+    auto wl = gen.generate(16);  // the 16 queries seed calibration
+
+    synopsis::BuildConfig bcfg;
+    bcfg.svd.rank = 3;
+    bcfg.svd.epochs_per_dim = 30;
+    bcfg.size_ratio = 12.0;
+
+    std::vector<search::SearchComponent> comps;
+    std::uint64_t base = 0;
+    for (auto& shard : wl.shards) {
+      const auto n = shard.rows();
+      comps.emplace_back(std::move(shard), base, bcfg);
+      base += n;
+    }
+    search = std::make_unique<search::SearchService>(std::move(comps), 10);
+    exec = std::make_unique<common::ShardedExecutor>();
+    search->set_executor(exec.get());
+
+    // Small CF recommender so the recommend op is live.
+    if (!no_reco) {
+      workload::RatingConfig rcfg;
+      rcfg.num_components = 4;
+      rcfg.users_per_component = 120;
+      rcfg.num_items = 256;
+      rcfg.seed = 20160816;
+      workload::RatingWorkloadGen rgen(rcfg);
+      auto rwl = rgen.generate(8, 1);
+      std::vector<reco::RecommenderComponent> rcomps;
+      for (auto& subset : rwl.subsets)
+        rcomps.emplace_back(std::move(subset), bcfg);
+      reco = std::make_unique<reco::CfService>(
+          std::move(rcomps), rcfg.min_rating, rcfg.max_rating);
+      reco->set_executor(exec.get());
+    }
+
+    server::ServerConfig scfg;
+    scfg.port = static_cast<std::uint16_t>(port);
+    scfg.max_queue_per_group = static_cast<std::size_t>(queue);
+    scfg.default_deadline_ms = static_cast<double>(deadline);
+    scfg.delta_dir = delta_dir;
+    scfg.calibration_queries = wl.queries;
+
+    server = std::make_unique<server::Server>(*search, reco.get(), *exec,
+                                              scfg);
+    server->start();
     if (!ckpt_dir.empty()) {
-      server.write_checkpoint(ckpt_dir);
+      server->write_checkpoint(ckpt_dir);
       std::cout << "CHECKPOINT " << ckpt_dir << std::endl;
     }
   } catch (const std::exception& e) {
@@ -135,13 +158,13 @@ int main(int argc, char** argv) {
 
   std::signal(SIGTERM, handle_signal);
   std::signal(SIGINT, handle_signal);
-  std::cout << "LISTENING " << server.port() << std::endl;
+  std::cout << "LISTENING " << server->port() << std::endl;
 
   while (g_stop == 0)
     // atlint: allow(banned-sleep) — signal-wait poll in the binary's main.
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
-  server.stop();
-  std::cout << server.stats_json() << std::endl;
+  server->stop();
+  std::cout << server->stats_json() << std::endl;
   return 0;
 }
