@@ -59,7 +59,7 @@ int main() {
   auto fx = bench::make_search_fixture_sharded(exec);
 
   server::ServerConfig scfg;
-  scfg.max_queue_per_group = 8;  // small bound so the burst visibly sheds
+  scfg.max_queue = 8;  // small bound so the burst visibly sheds
   for (std::size_t i = 0; i < 16 && i < fx.queries.size(); ++i)
     scfg.calibration_queries.push_back(fx.queries[i]);
 

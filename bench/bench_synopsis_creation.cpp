@@ -14,7 +14,6 @@
 #include "bench/bench_common.h"
 #include "bench/seed_reference.h"
 #include "common/artifact.h"
-#include "common/sharded_executor.h"
 #include "common/simd.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
@@ -35,9 +34,6 @@ struct StepTimes {
   /// size, 1..nproc (extend past nproc with AT_BENCH_THREADS to measure
   /// oversubscription).
   std::vector<std::pair<std::size_t, double>> hogwild_sweep;
-  /// Node-partitioned SVD on the AT_TOPOLOGY-resolved ShardedExecutor.
-  double svd_sharded_s = 0.0;
-  std::string topology;
   double rtree_s = 0.0;
   double aggregate_s = 0.0;
   std::size_t points = 0;
@@ -106,14 +102,6 @@ StepTimes time_creation(const synopsis::SparseRows& rows,
       }
       t.hogwild_sweep.emplace_back(threads, best);
     }
-    // Node-partitioned run on the machine layout (one group on
-    // single-node hardware — the fallback whose parity CI guards).
-    common::ShardedExecutor exec;
-    t.topology = exec.topology().describe();
-    w.reset();
-    auto sharded = linalg::incremental_svd_sharded(dataset, hw_cfg, exec);
-    t.svd_sharded_s = w.elapsed_seconds();
-    (void)sharded;
   }
   {
     const simd::Tier entry_tier = simd::active_tier();  // honor AT_SIMD
@@ -194,8 +182,6 @@ void report(const char* service, const StepTimes& t) {
                                   2) +
              "x vs 1 thr"});
   }
-  table.add_row({"1. SVD sharded executor",
-                 common::TableWriter::fmt(t.svd_sharded_s, 3), t.topology});
   table.add_row({"2. R-tree + index file",
                  common::TableWriter::fmt(t.rtree_s, 3),
                  "bulk load + level select"});
@@ -258,8 +244,6 @@ void write_json(const StepTimes& cf, const StepTimes& ws) {
        << "    \"svd_hogwild_sweep\": ";
     write_sweep_json(os, t.hogwild_sweep);
     os << ",\n"
-       << "    \"svd_sharded_s\": " << t.svd_sharded_s << ",\n"
-       << "    \"topology\": \"" << t.topology << "\",\n"
        << "    \"rtree_s\": " << t.rtree_s << ",\n"
        << "    \"aggregate_s\": " << t.aggregate_s << ",\n"
        << "    \"points\": " << t.points << ",\n"

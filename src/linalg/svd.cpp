@@ -56,23 +56,13 @@ struct EntryStream {
   /// entry-balanced contiguous chunks (hogwild shards own whole rows, so
   /// row-factor updates never race — only column factors do).
   std::vector<std::size_t> shard_bounds(std::size_t shards) const {
-    return sub_bounds(0, num_rows, shards);
-  }
-
-  /// Same split restricted to the row range [lo, hi) — the per-node
-  /// sub-sharding of the topology-partitioned path.
-  std::vector<std::size_t> sub_bounds(std::size_t lo, std::size_t hi,
-                                      std::size_t shards) const {
-    shards = std::max<std::size_t>(
-        1, std::min(shards, hi > lo ? hi - lo : std::size_t{1}));
-    std::vector<std::size_t> bounds(shards + 1, hi);
-    bounds[0] = lo;
-    const std::size_t base = row_ptr[lo];
-    const std::size_t total = row_ptr[hi] - base;
-    std::size_t r = lo;
+    shards = std::max<std::size_t>(1, std::min(shards, num_rows));
+    std::vector<std::size_t> bounds(shards + 1, num_rows);
+    bounds[0] = 0;
+    std::size_t r = 0;
     for (std::size_t s = 1; s < shards; ++s) {
-      const std::size_t target = base + s * total / shards;
-      while (r < hi && row_ptr[r] < target) ++r;
+      const std::size_t target = s * count / shards;
+      while (r < num_rows && row_ptr[r] < target) ++r;
       bounds[s] = r;
     }
     return bounds;
@@ -103,19 +93,17 @@ inline void shared_store(double& x, double v) {
   }
 }
 
-/// Everything one SGD sweep needs. Column state is accessed as
-/// colf[c * colf_stride] so the same kernel trains against the global
-/// factor matrix (stride = rank, offset pre-applied) or a node-local
-/// stride-1 working set.
+/// Everything one SGD sweep needs. Column c's factor for dimension d is
+/// colf[c * rank] (colf points at the factor matrix's column d).
 struct SweepCtx {
   const std::size_t* row_ptr = nullptr;
   const std::uint32_t* cols = nullptr;
   double* resid = nullptr;
   Matrix* row_factors = nullptr;
   double* colf = nullptr;
-  std::size_t colf_stride = 1;
+  std::size_t rank = 0;
   double* row_bias = nullptr;  // nullptr when biases are off
-  double* col_bias = nullptr;  // stride 1, nullptr when biases are off
+  double* col_bias = nullptr;  // nullptr when biases are off
   double global_mean = 0.0;
   double lr = 0.0;
   double reg = 0.0;
@@ -137,7 +125,7 @@ double sweep_rows(const SweepCtx& ctx, std::size_t r_lo, std::size_t r_hi) {
     double br = biases ? ctx.row_bias[r] : 0.0;
     for (std::size_t i = ctx.row_ptr[r]; i < ctx.row_ptr[r + 1]; ++i) {
       const std::uint32_t c = ctx.cols[i];
-      double& qref = ctx.colf[c * ctx.colf_stride];
+      double& qref = ctx.colf[c * ctx.rank];
       const double q = shared_load<kRacy>(qref);
       double err = ctx.resid[i] - p * q;
       double bc = 0.0;
@@ -219,7 +207,7 @@ SvdModel incremental_svd(const SparseDataset& data, const SvdConfig& config,
     ctx.resid = resid.data();
     ctx.row_factors = &model.row_factors;
     ctx.colf = model.col_factors.row(0) + d;
-    ctx.colf_stride = rank;
+    ctx.rank = rank;
     if (biases) {
       ctx.row_bias = model.row_bias.data();
       ctx.col_bias = model.col_bias.data();
@@ -272,202 +260,6 @@ SvdModel incremental_svd(const SparseDataset& data, const SvdConfig& config,
       pool->parallel_for(shards, retire);
     }
   }
-  model.train_rmse = reconstruction_rmse(model, data);
-  return model;
-}
-
-SvdModel incremental_svd_sharded(const SparseDataset& data,
-                                 const SvdConfig& config,
-                                 common::ShardedExecutor& exec) {
-  // Degenerate layouts keep the established semantics: deterministic mode
-  // is the exact sequential order (driven node-locally on group 0, so the
-  // model's pages land on the node that built it), and a single group is
-  // plain hogwild on that group's pinned pool.
-  if (config.deterministic) {
-    SvdModel model;
-    exec.submit(0, [&] { model = incremental_svd(data, config, nullptr); })
-        .get();
-    return model;
-  }
-  if (exec.num_groups() == 1) {
-    return incremental_svd(data, config, &exec.group(0));
-  }
-
-  if (config.rank == 0)
-    throw std::invalid_argument("incremental_svd: rank must be >= 1");
-  if (data.rows == 0 || data.cols == 0)
-    throw std::invalid_argument("incremental_svd: empty dataset dims");
-
-  EntryStream es(data);
-
-  // Factor initialization is identical to incremental_svd (same rng
-  // stream), so the sharded path differs only in training dynamics.
-  common::Rng rng(config.seed);
-  SvdModel model;
-  model.row_factors = Matrix(data.rows, config.rank);
-  model.col_factors = Matrix(data.cols, config.rank);
-  for (std::size_t r = 0; r < data.rows; ++r)
-    for (std::size_t d = 0; d < config.rank; ++d)
-      model.row_factors(r, d) = config.init_scale * (rng.uniform() - 0.5);
-  for (std::size_t c = 0; c < data.cols; ++c)
-    for (std::size_t d = 0; d < config.rank; ++d)
-      model.col_factors(c, d) = config.init_scale * (rng.uniform() - 0.5);
-  if (es.count == 0) return model;
-
-  if (config.use_biases) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < es.count; ++i) sum += es.vals[i];
-    model.global_mean = sum / static_cast<double>(es.count);
-    model.row_bias.assign(data.rows, 0.0);
-    model.col_bias.assign(data.cols, 0.0);
-  }
-
-  const double lr = config.learning_rate;
-  const double reg = config.regularization;
-  const std::size_t rank = config.rank;
-  const bool biases = config.use_biases;
-  const std::size_t cols = data.cols;
-
-  std::vector<double> resid(es.vals, es.vals + es.count);
-
-  // Node partition: contiguous entry-balanced row ranges, one per group
-  // (rows own their factors, so only column factors are shared across
-  // nodes). Each node further sub-shards its range across its workers for
-  // intra-node hogwild.
-  const std::size_t groups =
-      std::max<std::size_t>(1, std::min(exec.num_groups(), es.num_rows));
-  const std::vector<std::size_t> node_bounds = es.shard_bounds(groups);
-  std::vector<std::vector<std::size_t>> sub(groups);
-  for (std::size_t g = 0; g < groups; ++g) {
-    sub[g] = es.sub_bounds(node_bounds[g], node_bounds[g + 1],
-                           exec.group_size(g));
-  }
-
-  // Per-node working sets for the training dimension's column factors (and
-  // column biases): allocated from the node's arena INSIDE a group task,
-  // so their pages are first-touched on the owning node. Refreshed from
-  // the global factors at every epoch start and merged back (as deltas) at
-  // every epoch boundary — the only per-epoch cross-node traffic.
-  std::vector<double*> node_q(groups, nullptr);
-  std::vector<double*> node_bc(groups, nullptr);
-  std::vector<double> node_sq(exec.num_groups(), 0.0);
-  std::vector<common::NodeArena::Checkpoint> arena_marks(groups);
-  exec.for_each_group([&](std::size_t g) {
-    if (g >= groups) return;
-    // Checkpoint + allocate: the working sets are training-scoped scratch,
-    // rolled back below so repeated rebuilds on a long-lived executor
-    // reuse (never grow) the node arenas.
-    arena_marks[g] = exec.arena(g).mark();
-    node_q[g] = exec.arena(g).allocate_array<double>(cols);
-    if (biases) node_bc[g] = exec.arena(g).allocate_array<double>(cols);
-  });
-
-  for (std::size_t d = 0; d < rank; ++d) {
-    double prev_rmse = -1.0;
-    for (std::size_t epoch = 0; epoch < config.epochs_per_dim; ++epoch) {
-      exec.for_each_group([&](std::size_t g) {
-        if (g >= groups) {
-          node_sq[g] = 0.0;
-          return;
-        }
-        double* wq = node_q[g];
-        for (std::size_t c = 0; c < cols; ++c) wq[c] = model.col_factors(c, d);
-        if (biases) {
-          for (std::size_t c = 0; c < cols; ++c)
-            node_bc[g][c] = model.col_bias[c];
-        }
-
-        SweepCtx ctx;
-        ctx.row_ptr = es.row_ptr;
-        ctx.cols = es.cols;
-        ctx.resid = resid.data();
-        ctx.row_factors = &model.row_factors;
-        ctx.colf = wq;
-        ctx.colf_stride = 1;
-        if (biases) {
-          ctx.row_bias = model.row_bias.data();
-          ctx.col_bias = node_bc[g];
-        }
-        ctx.global_mean = model.global_mean;
-        ctx.lr = lr;
-        ctx.reg = reg;
-        ctx.d = d;
-
-        const std::vector<std::size_t>& sb = sub[g];
-        const std::size_t shards = sb.size() - 1;
-        double sq = 0.0;
-        if (shards <= 1) {
-          sq = sweep_rows<false>(ctx, sb.front(), sb.back());
-        } else {
-          // Intra-node hogwild on the node's own pinned pool (this task
-          // already runs on it; parallel_for helps while waiting, so the
-          // nesting is safe even for one-worker groups).
-          std::vector<double> shard_sq(shards, 0.0);
-          exec.group(g).parallel_for(shards, [&](std::size_t s) {
-            shard_sq[s] = sweep_rows<true>(ctx, sb[s], sb[s + 1]);
-          });
-          for (double v : shard_sq) sq += v;
-        }
-        node_sq[g] = sq;
-
-        // Turn the working set into deltas against the (still unmerged)
-        // global snapshot; the merge below runs after the barrier.
-        for (std::size_t c = 0; c < cols; ++c) wq[c] -= model.col_factors(c, d);
-        if (biases) {
-          for (std::size_t c = 0; c < cols; ++c)
-            node_bc[g][c] -= model.col_bias[c];
-        }
-      });
-
-      // Epoch boundary: fold every node's factor movement into the global
-      // model (delta sum, deterministic group order). Each node trained on
-      // its own rows only, so summing deltas is the parameter-server-style
-      // consolidation of their independent contributions.
-      for (std::size_t g = 0; g < groups; ++g) {
-        const double* wq = node_q[g];
-        for (std::size_t c = 0; c < cols; ++c)
-          model.col_factors(c, d) += wq[c];
-        if (biases) {
-          for (std::size_t c = 0; c < cols; ++c)
-            model.col_bias[c] += node_bc[g][c];
-        }
-      }
-
-      double sq = 0.0;
-      for (double s : node_sq) sq += s;
-      const double rmse = std::sqrt(sq / static_cast<double>(es.count));
-      if (config.min_improvement > 0.0 && prev_rmse >= 0.0 &&
-          prev_rmse - rmse < config.min_improvement) {
-        break;
-      }
-      prev_rmse = rmse;
-    }
-
-    // Retire dimension d into the cached residuals, each node over its own
-    // rows against the merged global factors.
-    const double* col_base = model.col_factors.row(0);
-    exec.for_each_group([&](std::size_t g) {
-      if (g >= groups) return;
-      const std::vector<std::size_t>& sb = sub[g];
-      const std::size_t shards = sb.size() - 1;
-      auto retire = [&](std::size_t s) {
-        for (std::size_t r = sb[s]; r < sb[s + 1]; ++r) {
-          const std::size_t lo = es.row_ptr[r];
-          simd::retire_axpy(resid.data() + lo, es.cols + lo,
-                            es.row_ptr[r + 1] - lo, col_base, rank, d,
-                            model.row_factors(r, d));
-        }
-      };
-      if (shards <= 1) {
-        retire(0);
-      } else {
-        exec.group(g).parallel_for(shards, retire);
-      }
-    });
-  }
-  exec.for_each_group([&](std::size_t g) {
-    if (g < groups) exec.arena(g).release(arena_marks[g]);
-  });
   model.train_rmse = reconstruction_rmse(model, data);
   return model;
 }

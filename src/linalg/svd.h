@@ -22,7 +22,6 @@
 #include <cstddef>
 
 #include "common/rng.h"
-#include "common/sharded_executor.h"
 #include "common/thread_pool.h"
 #include "linalg/matrix.h"
 
@@ -92,21 +91,6 @@ SvdModel load_svd_model(std::istream& is);
 /// bit-identical to previous releases).
 SvdModel incremental_svd(const SparseDataset& data, const SvdConfig& config,
                          common::ThreadPool* pool = nullptr);
-
-/// Topology-aware variant: entry shards are partitioned by node (contiguous
-/// row ranges, entry-balanced across the executor's groups), each node
-/// trains hogwild-style against a node-local working copy of the current
-/// dimension's column factors (allocated from the node's arena, so the
-/// per-step factor traffic never crosses the interconnect), and the
-/// per-node factor deltas are merged into the global model at every epoch
-/// boundary. Degrades exactly:
-///  * config.deterministic — the sequential exact order, run node-locally
-///    on group 0 (bit-identical to incremental_svd without a pool);
-///  * one group — plain hogwild on that group's pool (bit-equivalent in
-///    distribution to incremental_svd with a same-size pool).
-SvdModel incremental_svd_sharded(const SparseDataset& data,
-                                 const SvdConfig& config,
-                                 common::ShardedExecutor& exec);
 
 /// Root-mean-square reconstruction error of the model over the entries.
 double reconstruction_rmse(const SvdModel& model, const SparseDataset& data);

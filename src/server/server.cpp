@@ -154,16 +154,12 @@ void Server::start() {
   }
 
   stopping_.store(false);
-  // Each group's read queue gets one worker per CPU of the group; the one
-  // writer lane keeps updates in arrival order, off the read workers.
-  read_queues_.clear();
-  for (std::size_t g = 0; g < exec_.num_groups(); ++g)
-    read_queues_.push_back(std::make_unique<WorkQueue>(exec_.group_size(g)));
+  // The read queue gets one worker per executor CPU; the one writer lane
+  // keeps updates in arrival order, off the read workers.
+  reader_ = std::make_unique<WorkQueue>(exec_.total_workers());
   writer_ = std::make_unique<WorkQueue>(1);
-  for (auto& q : read_queues_) {
-    for (std::size_t w = 0; w < q->workers; ++w)
-      workers_.emplace_back([this, rq = q.get()] { worker_loop(*rq); });
-  }
+  for (std::size_t w = 0; w < reader_->workers; ++w)
+    workers_.emplace_back([this] { worker_loop(*reader_); });
   workers_.emplace_back([this] { worker_loop(*writer_); });
   running_.store(true, std::memory_order_release);
   acceptor_ = std::thread([this] { acceptor_loop(); });
@@ -186,16 +182,15 @@ void Server::stop() {
   }
   if (acceptor_.joinable()) acceptor_.join();
 
-  // 2. Drain the read queues and the writer lane: workers finish every
+  // 2. Drain the read queue and the writer lane: workers finish every
   //    admitted request (their promises must be fulfilled — connection
   //    threads are waiting on them), then exit.
-  const auto close_queue = [](WorkQueue& q) {
-    common::MutexLock lock(q.mutex);
-    q.open = false;
-    q.cv.notify_all();
-  };
-  for (auto& q : read_queues_) close_queue(*q);
-  if (writer_ != nullptr) close_queue(*writer_);
+  for (WorkQueue* q : {reader_.get(), writer_.get()}) {
+    if (q == nullptr) continue;
+    common::MutexLock lock(q->mutex);
+    q->open = false;
+    q->cv.notify_all();
+  }
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
@@ -232,7 +227,7 @@ void Server::stop() {
     if (victim->thread.joinable()) victim->thread.join();
     if (victim->fd >= 0) ::close(victim->fd);
   }
-  read_queues_.clear();
+  reader_.reset();
   writer_.reset();
   running_.store(false, std::memory_order_release);
 }
@@ -429,13 +424,8 @@ bool Server::admit(Request req, Response* shed_resp,
   shed_resp->request_id = req.request_id;
   shed_resp->op = req.op;
 
-  // Updates go to the writer lane; reads round-robin over the groups.
-  WorkQueue* lane = writer_.get();
-  if (req.op != Op::kUpdate) {
-    const auto n = rr_next_group_.fetch_add(1, std::memory_order_relaxed);
-    lane = read_queues_[n % read_queues_.size()].get();
-  }
-  WorkQueue& q = *lane;
+  // Updates go to the writer lane, everything else to the read queue.
+  WorkQueue& q = req.op == Op::kUpdate ? *writer_ : *reader_;
   // Decide under the queue lock, count under the stats lock — never both
   // at once (the stats lock is hot on the serving path).
   bool enqueued = false;
@@ -454,7 +444,7 @@ bool Server::admit(Request req, Response* shed_resp,
     // Shed when the queue is at its bound, or when the deadline is already
     // unmeetable at enqueue time (the queue ahead alone eats the budget —
     // serving this request would waste work the deadline makes worthless).
-    if (depth >= config_.max_queue_per_group || est_wait_ms >= deadline_ms) {
+    if (depth >= config_.max_queue || est_wait_ms >= deadline_ms) {
       std::uint32_t retry_ms = static_cast<std::uint32_t>(
           std::clamp(est_wait_ms - deadline_ms + est_full_ms_.load(), 1.0,
                      5000.0));

@@ -3,12 +3,12 @@
 // against.
 //
 // Threading: one acceptor thread; one frame-I/O thread per connection;
-// per executor group, one bounded read queue drained by W read workers,
-// W = the group's CPU count (ShardedExecutor::group_size); and one writer
-// lane for the whole server, a FIFO queue with one thread, that runs
-// every kUpdate. A read worker runs each search or recommend to
-// completion on its own thread. A publish therefore never holds a read
-// worker, and updates still apply one at a time in arrival order.
+// one bounded read queue drained by W read workers, W = the executor's
+// CPU count (ShardedExecutor::total_workers); and one writer lane, a FIFO
+// queue with one thread, that runs every kUpdate. A read worker runs each
+// search or recommend to completion on its own, unpinned thread, so a
+// per-group read queue would buy no locality. A publish never holds a
+// read worker, and updates still apply one at a time in arrival order.
 //
 // The live scan does not fan out: SearchService::exact_topk_partial scans
 // the components in order on the read worker. Fanning a query across the
@@ -89,9 +89,9 @@ inline constexpr double kStalePenaltyPct = 10.0;
 struct ServerConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  // 0 = ephemeral; read the bound port from port()
-  /// Admission bound: pending requests per queue (each group's read queue
-  /// and the writer lane).
-  std::size_t max_queue_per_group = 64;
+  /// Admission bound: pending requests per queue (the read queue and the
+  /// writer lane).
+  std::size_t max_queue = 64;
   /// Applied when a request carries deadline_ms == 0.
   double default_deadline_ms = 100.0;
   /// Queries run at start() to seed the per-rung cost EWMAs and measure
@@ -234,12 +234,11 @@ class Server {
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
   std::thread acceptor_;
-  // One read queue per executor group, and the writer lane that takes
-  // every kUpdate in arrival order; workers_ holds all their threads.
-  std::vector<std::unique_ptr<WorkQueue>> read_queues_;
+  // The read queue, and the writer lane that takes every kUpdate in
+  // arrival order; workers_ holds all their threads.
+  std::unique_ptr<WorkQueue> reader_;
   std::unique_ptr<WorkQueue> writer_;
   std::vector<std::thread> workers_;
-  std::atomic<std::uint64_t> rr_next_group_{0};
 
   common::Mutex conn_mutex_;
   struct Connection {

@@ -60,38 +60,6 @@ std::size_t SynopsisBuilder::pick_level(const rtree::RTree& tree,
   return best_level;
 }
 
-namespace {
-
-/// Steps 2a–2b shared by the pool and executor build paths.
-SynopsisStructure organize(linalg::SvdModel svd, const SparseRows& data,
-                           const BuildConfig& config) {
-  // Step 2a: organize the reduced points with an R-tree (bulk-loaded; the
-  // paper builds the initial tree offline in O(k log k)).
-  const std::size_t j = config.svd.rank;
-  std::vector<std::pair<std::uint64_t, rtree::Rect>> items;
-  items.reserve(data.rows());
-  for (std::size_t r = 0; r < data.rows(); ++r) {
-    items.emplace_back(
-        r, rtree::Rect::point(std::span<const double>(svd.row_factors.row(r),
-                                                      j)));
-  }
-  rtree::RTree tree = rtree::RTree::bulk_load(j, std::move(items),
-                                              config.rtree_params);
-
-  // Step 2b: select the synopsis level and emit the index file.
-  const std::size_t level = SynopsisBuilder::pick_level(
-      tree, data.rows(), config.size_ratio, config.min_groups);
-  IndexFile index = SynopsisBuilder::derive_index(tree, level);
-  index.validate_partition(data.rows());
-
-  SynopsisStructure s{std::move(svd), {}, std::move(tree), level,
-                      std::move(index)};
-  s.reduced = s.svd.row_factors;  // row-aligned copy used for erase/reinsert
-  return s;
-}
-
-}  // namespace
-
 SynopsisStructure SynopsisBuilder::build(const SparseRows& data,
                                          common::ThreadPool* pool) const {
   if (data.rows() == 0)
@@ -101,16 +69,30 @@ SynopsisStructure SynopsisBuilder::build(const SparseRows& data,
   // proximity: rows similar in the original space stay close in R^j.
   linalg::SvdModel svd =
       linalg::incremental_svd(data.to_dataset(), config_.svd, pool);
-  return organize(std::move(svd), data, config_);
-}
 
-SynopsisStructure SynopsisBuilder::build_sharded(
-    const SparseRows& data, common::ShardedExecutor& exec) const {
-  if (data.rows() == 0)
-    throw std::invalid_argument("SynopsisBuilder::build: empty dataset");
-  linalg::SvdModel svd =
-      linalg::incremental_svd_sharded(data.to_dataset(), config_.svd, exec);
-  return organize(std::move(svd), data, config_);
+  // Step 2a: organize the reduced points with an R-tree (bulk-loaded; the
+  // paper builds the initial tree offline in O(k log k)).
+  const std::size_t j = config_.svd.rank;
+  std::vector<std::pair<std::uint64_t, rtree::Rect>> items;
+  items.reserve(data.rows());
+  for (std::size_t r = 0; r < data.rows(); ++r) {
+    items.emplace_back(
+        r, rtree::Rect::point(std::span<const double>(svd.row_factors.row(r),
+                                                      j)));
+  }
+  rtree::RTree tree = rtree::RTree::bulk_load(j, std::move(items),
+                                              config_.rtree_params);
+
+  // Step 2b: select the synopsis level and emit the index file.
+  const std::size_t level =
+      pick_level(tree, data.rows(), config_.size_ratio, config_.min_groups);
+  IndexFile index = derive_index(tree, level);
+  index.validate_partition(data.rows());
+
+  SynopsisStructure s{std::move(svd), {}, std::move(tree), level,
+                      std::move(index)};
+  s.reduced = s.svd.row_factors;  // row-aligned copy used for erase/reinsert
+  return s;
 }
 
 }  // namespace at::synopsis

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 
-#include "common/sharded_executor.h"
 #include "common/thread_pool.h"
 #include "linalg/svd.h"
 #include "rtree/rtree.h"
@@ -63,14 +62,6 @@ class SynopsisBuilder {
   /// deterministic = false).
   SynopsisStructure build(const SparseRows& data,
                           common::ThreadPool* pool = nullptr) const;
-
-  /// Topology-aware build: step 1 runs the node-partitioned SVD
-  /// (linalg::incremental_svd_sharded) across the executor's groups —
-  /// per-node factor working sets, epoch-boundary merges. Steps 2–3 are
-  /// unchanged. With deterministic SVD config or a one-group executor this
-  /// produces exactly what build(data, pool) would.
-  SynopsisStructure build_sharded(const SparseRows& data,
-                                  common::ShardedExecutor& exec) const;
 
   /// Derives the index file for the structure's current tree/level.
   /// Exposed for the updater, which re-derives groups after mutations.

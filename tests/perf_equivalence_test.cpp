@@ -278,18 +278,23 @@ TEST(ParallelSvd, FoldInParallelBitIdenticalToSequential) {
 TEST(ParallelSvd, HogwildConvergesToComparableRmse) {
   auto rows = random_rows(7, 120, 50, 0.2);
   const auto ds = rows.to_dataset();
-  linalg::SvdConfig cfg;
-  cfg.rank = 3;
-  cfg.epochs_per_dim = 40;
-
-  const auto sequential = linalg::incremental_svd(ds, cfg);
-  cfg.deterministic = false;
   common::ThreadPool pool(4);
-  const auto hogwild = linalg::incremental_svd(ds, cfg, &pool);
+  // With biases on, the shards also race on the column biases.
+  for (bool biases : {false, true}) {
+    linalg::SvdConfig cfg;
+    cfg.rank = 3;
+    cfg.epochs_per_dim = 40;
+    cfg.use_biases = biases;
 
-  // Hogwild races perturb the trajectory, not the quality.
-  EXPECT_NEAR(hogwild.train_rmse, sequential.train_rmse,
-              0.25 * sequential.train_rmse + 0.05);
+    const auto sequential = linalg::incremental_svd(ds, cfg);
+    cfg.deterministic = false;
+    const auto hogwild = linalg::incremental_svd(ds, cfg, &pool);
+
+    // Hogwild races perturb the trajectory, not the quality.
+    EXPECT_NEAR(hogwild.train_rmse, sequential.train_rmse,
+                0.25 * sequential.train_rmse + 0.05)
+        << "biases=" << biases;
+  }
 }
 
 TEST(ParallelSvd, UpdaterParallelMatchesSequential) {

@@ -516,7 +516,7 @@ TEST_F(ServerTest, RandomBytesOnSocketNeverKillTheServer) {
 TEST_F(ServerTest, AdmissionControlShedsWithRetryAfter) {
   auto& fx = fixture();
   ServerConfig cfg = test_server_config();
-  cfg.max_queue_per_group = 0;  // everything sheds at enqueue
+  cfg.max_queue = 0;  // everything sheds at enqueue
   Server srv(*fx.service, nullptr, *fx.exec, cfg);
   srv.start();
   Client client(client_config(srv.port(), /*retries=*/1));

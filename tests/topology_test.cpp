@@ -1,15 +1,14 @@
 // Topology-aware sharded execution layer tests: AT_TOPOLOGY parsing and
-// discovery, the NodeArena, ShardedExecutor dispatch (home groups, nested
-// fan-out, exception propagation), node-partitioned SVD parity, sharded
-// service fan-out parity, and the deterministic concurrency stress suite
-// that hammers ShardedExecutor + ScoreAccumulator epochs (including the
-// epoch-stamp wrap path) under simulated 1/2/4-node layouts.
+// discovery, ShardedExecutor dispatch (home groups, nested fan-out,
+// exception propagation), sharded service fan-out parity, and the
+// deterministic concurrency stress suite that hammers ShardedExecutor +
+// ScoreAccumulator epochs (including the epoch-stamp wrap path) under
+// simulated 1/2/4-node layouts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -19,7 +18,6 @@
 #include "common/sharded_executor.h"
 #include "common/thread_pool.h"
 #include "common/topology.h"
-#include "linalg/svd.h"
 #include "services/recommender/service.h"
 #include "services/search/service.h"
 #include "synopsis/builder.h"
@@ -29,7 +27,6 @@
 namespace at {
 namespace {
 
-using common::NodeArena;
 using common::ShardedExecutor;
 using common::Topology;
 
@@ -144,83 +141,6 @@ TEST(TopologyDescribe, CollapsesRanges) {
 }
 
 // ---------------------------------------------------------------------------
-// NodeArena
-// ---------------------------------------------------------------------------
-
-TEST(NodeArenaTest, AlignedDistinctAllocations) {
-  NodeArena arena(1 << 12);
-  double* a = arena.allocate_array<double>(100);
-  double* b = arena.allocate_array<double>(100);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % 64, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 64, 0u);
-  // Disjoint storage.
-  for (int i = 0; i < 100; ++i) a[i] = 1.0;
-  for (int i = 0; i < 100; ++i) b[i] = 2.0;
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(a[i], 1.0);
-  EXPECT_GE(arena.bytes_used(), 200 * sizeof(double));
-}
-
-TEST(NodeArenaTest, ResetRecyclesBlocks) {
-  NodeArena arena(1 << 12);
-  (void)arena.allocate(3000);
-  (void)arena.allocate(3000);
-  const std::size_t reserved = arena.bytes_reserved();
-  arena.reset();
-  EXPECT_EQ(arena.bytes_used(), 0u);
-  (void)arena.allocate(3000);
-  EXPECT_EQ(arena.bytes_reserved(), reserved);  // no new block needed
-}
-
-TEST(NodeArenaTest, AllocationsStayAlignedAfterReset) {
-  NodeArena arena(1 << 12);
-  (void)arena.allocate(100);
-  arena.reset();
-  for (int i = 0; i < 8; ++i) {
-    void* p = arena.allocate(24);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u) << "alloc " << i;
-  }
-}
-
-TEST(NodeArenaTest, MarkReleaseRollsBackScratch) {
-  NodeArena arena(1 << 12);
-  (void)arena.allocate(1000);
-  const std::size_t before = arena.bytes_used();
-  const auto cp = arena.mark();
-  (void)arena.allocate(3000);
-  (void)arena.allocate(3000);  // forces a second block
-  const std::size_t reserved = arena.bytes_reserved();
-  arena.release(cp);
-  EXPECT_EQ(arena.bytes_used(), before);       // scratch rolled back
-  EXPECT_EQ(arena.bytes_reserved(), reserved); // capacity retained
-  // Released capacity is reusable without growing.
-  (void)arena.allocate(3000);
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-}
-
-TEST(NodeArenaTest, OversizedAllocationGetsOwnBlock) {
-  NodeArena arena(64);
-  void* p = arena.allocate(10000);
-  ASSERT_NE(p, nullptr);
-  std::memset(p, 0xab, 10000);  // must be fully writable
-}
-
-TEST(NodeArenaTest, ConcurrentAllocationsAreDisjoint) {
-  NodeArena arena(1 << 14);
-  common::ThreadPool pool(4);
-  constexpr int kAllocs = 64;
-  std::vector<std::uint32_t*> ptrs(kAllocs, nullptr);
-  pool.parallel_for(kAllocs, [&](std::size_t i) {
-    ptrs[i] = arena.allocate_array<std::uint32_t>(257);
-    for (int j = 0; j < 257; ++j) ptrs[i][j] = static_cast<std::uint32_t>(i);
-  });
-  for (int i = 0; i < kAllocs; ++i) {
-    for (int j = 0; j < 257; ++j) ASSERT_EQ(ptrs[i][j], static_cast<std::uint32_t>(i));
-  }
-}
-
-// ---------------------------------------------------------------------------
 // ShardedExecutor dispatch
 // ---------------------------------------------------------------------------
 
@@ -241,30 +161,33 @@ TEST(ShardedExecutorTest, RejectsEmptyTopology) {
 TEST(ShardedExecutorTest, ShardsRunOnTheirHomeGroup) {
   for (std::size_t nodes : {1u, 2u, 4u}) {
     ShardedExecutor exec(common::simulated_topology(nodes));
-    constexpr std::size_t kShards = 23;
-    std::vector<std::size_t> ran_on(kShards, ShardedExecutor::kNoGroup);
-    std::vector<std::atomic<int>> runs(kShards);
-    exec.for_each_shard(kShards, [&](std::size_t s) {
-      ran_on[s] = ShardedExecutor::current_group();
-      runs[s].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (std::size_t s = 0; s < kShards; ++s) {
-      EXPECT_EQ(runs[s].load(), 1) << "shard " << s;
-      EXPECT_EQ(ran_on[s], exec.home_group(s)) << "shard " << s;
+    // Fewer, as many and more shards than groups, through both dispatchers.
+    for (std::size_t n : {1u, 3u, 4u, 23u}) {
+      for (bool grouped : {false, true}) {
+        std::vector<std::size_t> ran_on(n, ShardedExecutor::kNoGroup);
+        std::vector<std::atomic<int>> runs(n);
+        const auto fn = [&](std::size_t s) {
+          ran_on[s] = ShardedExecutor::current_group();
+          runs[s].fetch_add(1, std::memory_order_relaxed);
+        };
+        if (grouped) {
+          exec.for_each_shard_grouped(n, fn);
+        } else {
+          exec.for_each_shard(n, fn);
+        }
+        for (std::size_t s = 0; s < n; ++s) {
+          EXPECT_EQ(runs[s].load(), 1)
+              << "grouped=" << grouped << ", " << nodes << " nodes, shard "
+              << s << " of " << n;
+          EXPECT_EQ(ran_on[s], exec.home_group(s))
+              << "grouped=" << grouped << ", " << nodes << " nodes, shard "
+              << s << " of " << n;
+        }
+      }
     }
   }
   // Off-executor threads carry no group label.
   EXPECT_EQ(ShardedExecutor::current_group(), ShardedExecutor::kNoGroup);
-}
-
-TEST(ShardedExecutorTest, ForEachGroupRunsOncePerGroup) {
-  ShardedExecutor exec(common::simulated_topology(4));
-  std::vector<std::atomic<int>> runs(4);
-  exec.for_each_group([&](std::size_t g) {
-    EXPECT_EQ(ShardedExecutor::current_group(), g);
-    runs[g].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (auto& r : runs) EXPECT_EQ(r.load(), 1);
 }
 
 TEST(ShardedExecutorTest, PropagatesShardExceptions) {
@@ -298,7 +221,7 @@ TEST(ThreadPoolNesting, NestedParallelForOnOneWorkerPoolCompletes) {
 TEST(ThreadPoolNesting, DeepNestingAcrossGroupsCompletes) {
   ShardedExecutor exec(common::simulated_topology(2));
   std::atomic<int> leaf{0};
-  exec.for_each_group([&](std::size_t g) {
+  exec.for_each_shard(exec.num_groups(), [&](std::size_t g) {
     exec.group(g).parallel_for(4, [&](std::size_t) {
       exec.group(g).parallel_for(3, [&](std::size_t) { leaf.fetch_add(1); });
     });
@@ -314,133 +237,6 @@ TEST(ThreadPoolPinned, PinnedConstructorRunsTasks) {
   std::atomic<int> n{0};
   pool.parallel_for(100, [&](std::size_t) { n.fetch_add(1); });
   EXPECT_EQ(n.load(), 100);
-}
-
-// ---------------------------------------------------------------------------
-// Node-partitioned SVD
-// ---------------------------------------------------------------------------
-
-synopsis::SparseRows random_rows(std::uint64_t seed, std::size_t rows,
-                                 std::size_t cols, double density) {
-  common::Rng rng(seed);
-  synopsis::SparseRows out(cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    synopsis::SparseVector v;
-    for (std::uint32_t c = 0; c < cols; ++c) {
-      if (rng.uniform() < density) v.emplace_back(c, 1.0 + rng.uniform() * 4.0);
-    }
-    if (v.empty()) v.emplace_back(static_cast<std::uint32_t>(r % cols), 1.0);
-    out.add_row(std::move(v));
-  }
-  return out;
-}
-
-void expect_same_model(const linalg::SvdModel& a, const linalg::SvdModel& b) {
-  ASSERT_EQ(a.row_factors.rows(), b.row_factors.rows());
-  ASSERT_EQ(a.col_factors.rows(), b.col_factors.rows());
-  EXPECT_EQ(a.row_factors.data(), b.row_factors.data());
-  EXPECT_EQ(a.col_factors.data(), b.col_factors.data());
-  EXPECT_EQ(a.row_bias, b.row_bias);
-  EXPECT_EQ(a.col_bias, b.col_bias);
-  EXPECT_EQ(a.global_mean, b.global_mean);
-}
-
-TEST(ShardedSvd, DeterministicModeBitIdenticalUnderAnyLayout) {
-  auto rows = random_rows(11, 70, 32, 0.2);
-  const auto ds = rows.to_dataset();
-  for (bool biases : {false, true}) {
-    linalg::SvdConfig cfg;
-    cfg.rank = 3;
-    cfg.epochs_per_dim = 20;
-    cfg.use_biases = biases;
-    cfg.deterministic = true;
-    const auto reference = linalg::incremental_svd(ds, cfg, nullptr);
-    for (std::size_t nodes : {1u, 2u, 4u}) {
-      ShardedExecutor exec(common::simulated_topology(nodes));
-      const auto sharded = linalg::incremental_svd_sharded(ds, cfg, exec);
-      expect_same_model(reference, sharded);
-      EXPECT_EQ(reference.train_rmse, sharded.train_rmse);
-    }
-  }
-}
-
-TEST(ShardedSvd, NodePartitionedHogwildConverges) {
-  auto rows = random_rows(12, 160, 48, 0.18);
-  const auto ds = rows.to_dataset();
-  linalg::SvdConfig cfg;
-  cfg.rank = 3;
-  cfg.epochs_per_dim = 40;
-  const auto sequential = linalg::incremental_svd(ds, cfg);
-  cfg.deterministic = false;
-  for (bool biases : {false, true}) {
-    cfg.use_biases = biases;
-    const auto seq = biases ? linalg::incremental_svd(ds, cfg, nullptr)
-                            : sequential;
-    for (std::size_t nodes : {2u, 4u}) {
-      ShardedExecutor exec(
-          common::simulated_topology(nodes, {0, 0, 1, 1}));  // 2 workers/node
-      const auto sharded = linalg::incremental_svd_sharded(ds, cfg, exec);
-      // Epoch-boundary delta merges perturb the trajectory, not the
-      // quality (same contract as plain hogwild).
-      EXPECT_NEAR(sharded.train_rmse, seq.train_rmse,
-                  0.25 * seq.train_rmse + 0.05)
-          << nodes << " nodes, biases=" << biases;
-    }
-  }
-}
-
-TEST(ShardedSvd, SingleGroupMatchesPlainHogwildContract) {
-  auto rows = random_rows(13, 90, 30, 0.2);
-  const auto ds = rows.to_dataset();
-  linalg::SvdConfig cfg;
-  cfg.rank = 2;
-  cfg.epochs_per_dim = 30;
-  cfg.deterministic = false;
-  ShardedExecutor exec(common::simulated_topology(1, {0, 0, 0, 0}));
-  const auto sharded = linalg::incremental_svd_sharded(ds, cfg, exec);
-  cfg.deterministic = true;
-  const auto reference = linalg::incremental_svd(ds, cfg);
-  EXPECT_NEAR(sharded.train_rmse, reference.train_rmse,
-              0.25 * reference.train_rmse + 0.05);
-}
-
-TEST(ShardedSvd, RepeatedTrainingDoesNotGrowArenas) {
-  // Long-lived-executor contract: training scratch is checkpointed and
-  // released, so repeated rebuilds reuse (never grow) the node arenas.
-  auto rows = random_rows(15, 80, 40, 0.2);
-  const auto ds = rows.to_dataset();
-  linalg::SvdConfig cfg;
-  cfg.rank = 2;
-  cfg.epochs_per_dim = 10;
-  cfg.deterministic = false;
-  ShardedExecutor exec(common::simulated_topology(2));
-  (void)linalg::incremental_svd_sharded(ds, cfg, exec);
-  std::size_t used = 0, reserved = 0;
-  for (std::size_t g = 0; g < exec.num_groups(); ++g) {
-    used += exec.arena(g).bytes_used();
-    reserved += exec.arena(g).bytes_reserved();
-  }
-  EXPECT_EQ(used, 0u);
-  for (int rep = 0; rep < 3; ++rep)
-    (void)linalg::incremental_svd_sharded(ds, cfg, exec);
-  std::size_t reserved_after = 0;
-  for (std::size_t g = 0; g < exec.num_groups(); ++g)
-    reserved_after += exec.arena(g).bytes_reserved();
-  EXPECT_EQ(reserved_after, reserved);
-}
-
-TEST(ShardedSvd, BuilderShardedMatchesDeterministicBuild) {
-  auto rows = random_rows(14, 60, 24, 0.25);
-  synopsis::BuildConfig cfg;
-  cfg.svd.rank = 2;
-  cfg.svd.epochs_per_dim = 25;
-  cfg.size_ratio = 8.0;
-  const auto reference = synopsis::SynopsisBuilder(cfg).build(rows);
-  ShardedExecutor exec(common::simulated_topology(2));
-  const auto sharded = synopsis::SynopsisBuilder(cfg).build_sharded(rows, exec);
-  EXPECT_EQ(reference.svd.row_factors.data(), sharded.svd.row_factors.data());
-  EXPECT_EQ(reference.level, sharded.level);
-  ASSERT_EQ(reference.index.size(), sharded.index.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -701,10 +497,6 @@ TEST(ConcurrencyStress, AccumulatorEpochsBitIdenticalUnderAllLayouts) {
     for (std::size_t round = 0; round < kRounds; ++round) {
       exec.for_each_shard(shards, [&](std::size_t s) {
         search::ScoreAccumulator& acc = accs[s];
-        // Arena traffic alongside, to cross-check allocation under load.
-        double* scratch =
-            exec.arena(exec.home_group(s)).allocate_array<double>(64);
-        scratch[s % 64] = static_cast<double>(s);
         for (std::size_t qid = s; qid < kQueries; qid += shards) {
           // Exercise the epoch-stamp wrap path from several distances.
           if (qid % 37 == s % 3) {
@@ -715,8 +507,6 @@ TEST(ConcurrencyStress, AccumulatorEpochsBitIdenticalUnderAllLayouts) {
           if (got != reference[qid]) failures.fetch_add(1);
         }
       });
-      exec.for_each_group(
-          [&](std::size_t g) { exec.arena(g).reset(); });
     }
     EXPECT_EQ(failures.load(), 0u) << nodes << "-node layout";
   }

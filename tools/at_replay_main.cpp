@@ -22,50 +22,43 @@
 //        --docs N       docs per component — must match (default 200)
 //        --seed N       replay stream seed (default 7)
 //        --allow-errors tolerate shed-exhaustion / error responses
-#include <cstdlib>
-#include <cstring>
+//
+// A bad flag value (--clients, --requests, --components or --docs not
+// positive, a --port outside 1-65535, a negative --deadline) prints
+// "at_replay: <what>" and exits 2.
 #include <iostream>
+#include <stdexcept>
 
+#include "cli_flags.h"
 #include "server/replay.h"
-
-namespace {
-
-long arg_long(int argc, char** argv, const char* name, long def) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return std::atol(argv[i + 1]);
-  return def;
-}
-
-double arg_double(int argc, char** argv, const char* name, double def) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  return def;
-}
-
-bool arg_flag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return true;
-  return false;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace at;
+  using namespace at::cli;
 
   const long port = arg_long(argc, argv, "--port", 0);
-  if (port <= 0) {
-    std::cerr << "at_replay: --port is required\n";
+  const long clients = arg_long(argc, argv, "--clients", 4);
+  const long requests = arg_long(argc, argv, "--requests", 50);
+  const long deadline = arg_long(argc, argv, "--deadline", 100);
+  const long components = arg_long(argc, argv, "--components", 8);
+  const long docs = arg_long(argc, argv, "--docs", 200);
+  try {
+    require(port >= 1 && port <= 65535, "--port must be in 1-65535");
+    require(clients > 0, "--clients must be positive");
+    require(requests > 0, "--requests must be positive");
+    require(components > 0, "--components must be positive");
+    require(docs > 0, "--docs must be positive");
+    require(deadline >= 0, "--deadline must not be negative");
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "at_replay: " << e.what() << "\n";
     return 2;
   }
 
   server::ReplayConfig cfg;
   cfg.port = static_cast<std::uint16_t>(port);
-  cfg.num_clients = static_cast<std::size_t>(arg_long(argc, argv, "--clients", 4));
-  cfg.requests_per_client =
-      static_cast<std::size_t>(arg_long(argc, argv, "--requests", 50));
-  cfg.deadline_ms =
-      static_cast<std::uint32_t>(arg_long(argc, argv, "--deadline", 100));
+  cfg.num_clients = static_cast<std::size_t>(clients);
+  cfg.requests_per_client = static_cast<std::size_t>(requests);
+  cfg.deadline_ms = static_cast<std::uint32_t>(deadline);
   cfg.recommend_fraction = arg_double(argc, argv, "--reco-frac", 0.1);
   cfg.update_fraction = arg_double(argc, argv, "--update-mix", 0.0);
   cfg.update_adds = static_cast<std::uint32_t>(
@@ -73,12 +66,10 @@ int main(int argc, char** argv) {
   cfg.update_changes = static_cast<std::uint32_t>(
       arg_long(argc, argv, "--update-changes", 4));
   cfg.seed = static_cast<std::uint64_t>(arg_long(argc, argv, "--seed", 7));
-  cfg.corpus.num_components =
-      static_cast<std::size_t>(arg_long(argc, argv, "--components", 8));
+  cfg.corpus.num_components = static_cast<std::size_t>(components);
   cfg.update_components =
       static_cast<std::uint32_t>(cfg.corpus.num_components);
-  cfg.corpus.docs_per_component =
-      static_cast<std::size_t>(arg_long(argc, argv, "--docs", 200));
+  cfg.corpus.docs_per_component = static_cast<std::size_t>(docs);
   cfg.corpus.seed = 20160816;  // same stream the server was built from
 
   const auto report = server::run_replay(cfg);

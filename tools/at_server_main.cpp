@@ -9,7 +9,8 @@
 // Flags: --port N        bind port (default 0 = ephemeral)
 //        --components N  shard components (default 8)
 //        --docs N        docs per component (default 200)
-//        --queue N       admission bound per group (default 64)
+//        --queue N       admission bound per queue: the read queue and
+//                        the writer lane (default 64)
 //        --deadline MS   default deadline for requests that carry none
 //        --no-reco       skip building the recommender
 //        --delta-dir P   emit one DLTA delta artifact per epoch publish
@@ -25,8 +26,6 @@
 //
 // Fault injection: arm failpoints via AT_FAILPOINTS (see README).
 #include <csignal>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
@@ -34,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli_flags.h"
 #include "common/sharded_executor.h"
 #include "server/server.h"
 #include "services/recommender/service.h"
@@ -46,33 +46,11 @@ namespace {
 volatile std::sig_atomic_t g_stop = 0;
 void handle_signal(int) { g_stop = 1; }
 
-long arg_long(int argc, char** argv, const char* name, long def) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return std::atol(argv[i + 1]);
-  return def;
-}
-
-bool arg_flag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return true;
-  return false;
-}
-
-std::string arg_str(int argc, char** argv, const char* name,
-                    const char* def) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  return def;
-}
-
-void require(bool ok, const char* what) {
-  if (!ok) throw std::invalid_argument(what);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace at;
+  using namespace at::cli;
 
   const long port = arg_long(argc, argv, "--port", 0);
   const long components = arg_long(argc, argv, "--components", 8);
@@ -139,7 +117,7 @@ int main(int argc, char** argv) {
 
     server::ServerConfig scfg;
     scfg.port = static_cast<std::uint16_t>(port);
-    scfg.max_queue_per_group = static_cast<std::size_t>(queue);
+    scfg.max_queue = static_cast<std::size_t>(queue);
     scfg.default_deadline_ms = static_cast<double>(deadline);
     scfg.delta_dir = delta_dir;
     scfg.calibration_queries = wl.queries;

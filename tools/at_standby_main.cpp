@@ -17,20 +17,24 @@
 //        --delta-dir P   delta directory to tail (required)
 //        --port N        port the promoted server binds (default 0)
 //        --poll-ms N     tailer poll interval (default 20)
-//        --queue N       admission bound per group once promoted
+//        --queue N       admission bound per queue once promoted
 //        --deadline MS   default deadline once promoted
 //        --emit-deltas   promoted server keeps emitting deltas into the
 //                        tailed directory, continuing the primary's chain
 //
+// A bad flag value (a --port outside 0-65535, a --poll-ms not positive, a
+// negative --queue or --deadline), a missing directory flag or a failed
+// load prints "at_standby: <what>" and exits 1.
+//
 // Fault injection: arm failpoints via AT_FAILPOINTS (standby.apply,
 // standby.promote; see README).
 #include <csignal>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <thread>
 
+#include "cli_flags.h"
 #include "server/standby.h"
 
 namespace {
@@ -40,51 +44,38 @@ volatile std::sig_atomic_t g_promote = 0;
 void handle_stop(int) { g_stop = 1; }
 void handle_promote(int) { g_promote = 1; }
 
-long arg_long(int argc, char** argv, const char* name, long def) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return std::atol(argv[i + 1]);
-  return def;
-}
-
-bool arg_flag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return true;
-  return false;
-}
-
-std::string arg_str(int argc, char** argv, const char* name,
-                    const char* def) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  return def;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace at;
+  using namespace at::cli;
+
+  const long port = arg_long(argc, argv, "--port", 0);
+  const long poll_ms = arg_long(argc, argv, "--poll-ms", 20);
+  const long queue = arg_long(argc, argv, "--queue", 64);
+  const long deadline = arg_long(argc, argv, "--deadline", 100);
 
   server::StandbyConfig cfg;
   cfg.checkpoint_dir = arg_str(argc, argv, "--ckpt-dir", "");
   cfg.delta_dir = arg_str(argc, argv, "--delta-dir", "");
-  cfg.poll_interval_ms =
-      static_cast<double>(arg_long(argc, argv, "--poll-ms", 20));
-  cfg.server.port =
-      static_cast<std::uint16_t>(arg_long(argc, argv, "--port", 0));
-  cfg.server.max_queue_per_group =
-      static_cast<std::size_t>(arg_long(argc, argv, "--queue", 64));
-  cfg.server.default_deadline_ms =
-      static_cast<double>(arg_long(argc, argv, "--deadline", 100));
   if (arg_flag(argc, argv, "--emit-deltas")) cfg.server.delta_dir = cfg.delta_dir;
-  if (cfg.checkpoint_dir.empty() || cfg.delta_dir.empty()) {
-    std::cerr << "at_standby: --ckpt-dir and --delta-dir are required\n";
-    return 1;
-  }
 
-  server::StandbyReplica standby(cfg);
+  std::unique_ptr<server::StandbyReplica> standby;
   try {
-    standby.load();
-    standby.start();
+    require(!cfg.checkpoint_dir.empty() && !cfg.delta_dir.empty(),
+            "--ckpt-dir and --delta-dir are required");
+    require(port >= 0 && port <= 65535, "--port must be in 0-65535");
+    require(poll_ms > 0, "--poll-ms must be positive");
+    require(queue >= 0, "--queue must not be negative");
+    require(deadline >= 0, "--deadline must not be negative");
+    cfg.poll_interval_ms = static_cast<double>(poll_ms);
+    cfg.server.port = static_cast<std::uint16_t>(port);
+    cfg.server.max_queue = static_cast<std::size_t>(queue);
+    cfg.server.default_deadline_ms = static_cast<double>(deadline);
+
+    standby = std::make_unique<server::StandbyReplica>(cfg);
+    standby->load();
+    standby->start();
   } catch (const std::exception& e) {
     std::cerr << "at_standby: " << e.what() << "\n";
     return 1;
@@ -99,11 +90,11 @@ int main(int argc, char** argv) {
     if (g_promote != 0) {
       g_promote = 0;
       try {
-        server::Server& srv = standby.promote();
+        server::Server& srv = standby->promote();
         std::cout << "PROMOTED " << srv.port() << std::endl;
       } catch (const std::exception& e) {
         std::cout << "RESYNC_REQUIRED " << e.what() << std::endl;
-        std::cout << standby.stats_json() << std::endl;
+        std::cout << standby->stats_json() << std::endl;
         return 2;
       }
     }
@@ -111,11 +102,11 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
 
-  server::Server* promoted = standby.server();
+  server::Server* promoted = standby->server();
   const std::string server_json =
       promoted != nullptr ? promoted->stats_json() : "null";
-  standby.stop();
-  std::cout << "{\"standby\": " << standby.stats_json()
+  standby->stop();
+  std::cout << "{\"standby\": " << standby->stats_json()
             << ", \"server\": " << server_json << "}" << std::endl;
   return 0;
 }
