@@ -14,14 +14,12 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/sharded_executor.h"
 #include "common/table.h"
 #include "core/technique.h"
 #include "services/recommender/service.h"
@@ -167,48 +165,6 @@ inline SearchFixture make_search_fixture(double synopsis_ratio = 12.0,
     base += n;
   }
   fx.service = std::make_unique<search::SearchService>(std::move(comps), 10);
-  fx.queries = std::move(wl.queries);
-  for (std::size_t c = 0; c < fx.service->num_components(); ++c) {
-    sim::ComponentProfile p;
-    p.num_points =
-        static_cast<std::uint32_t>(fx.service->component(c).num_docs());
-    p.group_sizes = fx.service->component(c).group_sizes();
-    fx.profiles.push_back(std::move(p));
-  }
-  return fx;
-}
-
-/// Topology-aware variant: each shard component is CONSTRUCTED inside a
-/// task on its home group (so its CSR pool, postings and synopsis are
-/// first-touched by node-local threads) and the executor is installed on
-/// the service, homing every component's future work on the same group.
-inline SearchFixture make_search_fixture_sharded(
-    common::ShardedExecutor& exec, double synopsis_ratio = 12.0,
-    std::size_t num_queries = 400) {
-  workload::CorpusConfig ccfg = default_corpus_config();
-  workload::CorpusGen gen(ccfg);
-  auto wl = gen.generate(num_queries);
-
-  SearchFixture fx;
-  const std::size_t n = wl.shards.size();
-  std::vector<std::optional<search::SearchComponent>> built(n);
-  std::vector<std::uint64_t> bases(n);
-  std::uint64_t base = 0;
-  for (std::size_t c = 0; c < n; ++c) {
-    bases[c] = base;
-    base += wl.shards[c].rows();
-  }
-  exec.for_each_shard(n, [&](std::size_t c) {
-    built[c].emplace(std::move(wl.shards[c]), bases[c],
-                     default_build_config(synopsis_ratio),
-                     search::ScorerParams{},
-                     &exec.group(exec.home_group(c)));
-  });
-  std::vector<search::SearchComponent> comps;
-  comps.reserve(n);
-  for (auto& b : built) comps.push_back(std::move(*b));
-  fx.service = std::make_unique<search::SearchService>(std::move(comps), 10);
-  fx.service->set_executor(&exec);
   fx.queries = std::move(wl.queries);
   for (std::size_t c = 0; c < fx.service->num_components(); ++c) {
     sim::ComponentProfile p;

@@ -16,9 +16,6 @@
 
 #include "bench/bench_common.h"
 #include "common/artifact.h"
-#include "common/sharded_executor.h"
-#include "common/stopwatch.h"
-#include "common/topology.h"
 #include "workload/diurnal.h"
 
 namespace at::bench {
@@ -128,66 +125,9 @@ ServiceSummary run_search() {
   return s;
 }
 
-/// Query fan-out latency of the exact path under the two dispatch modes:
-/// sequential and the topology-aware ShardedExecutor (per-node heaps +
-/// home-group dispatch; components built node-locally). On single-node
-/// hardware the executor degrades to one group.
-struct FanoutLatency {
-  double sequential_us = 0.0;
-  double sharded_us = 0.0;
-  std::size_t groups = 1;
-  std::string topology;
-};
-
-FanoutLatency run_fanout() {
-  FanoutLatency out;
-  common::ShardedExecutor exec;  // AT_TOPOLOGY-resolved machine layout
-  out.groups = exec.num_groups();
-  out.topology = exec.topology().describe();
-  auto fx = make_search_fixture_sharded(exec, 12.0, 200);
-
-  // Best-of-3 full sweeps over the query set; the checksum both defeats
-  // dead-code elimination and cross-checks dispatch-mode parity.
-  double check_ref = -1.0;
-  const auto measure = [&](double* check) {
-    double best = 1e300;
-    for (int rep = 0; rep < 3; ++rep) {
-      double sum = 0.0;
-      common::Stopwatch w;
-      for (const auto& q : fx.queries) {
-        for (const auto& d : fx.service->exact_topk(q))
-          sum += d.score + static_cast<double>(d.doc);
-      }
-      best = std::min(best, w.elapsed_seconds());
-      *check = sum;
-    }
-    return best * 1e6 / static_cast<double>(fx.queries.size());
-  };
-
-  out.sharded_us = measure(&check_ref);
-  fx.service->set_executor(nullptr);
-  double check = 0.0;
-  out.sequential_us = measure(&check);
-  if (check != check_ref) {
-    std::cerr << "FAIL: sharded fan-out results diverge from sequential\n";
-    std::exit(1);
-  }
-
-  common::TableWriter table("Exact query fan-out latency (us/query)");
-  table.set_columns({"dispatch", "us/query", "notes"});
-  table.add_row({"sequential", common::TableWriter::fmt(out.sequential_us, 1),
-                 "one thread, component order"});
-  table.add_row({"sharded executor",
-                 common::TableWriter::fmt(out.sharded_us, 1),
-                 out.topology + ", per-node heaps"});
-  table.print(std::cout);
-  return out;
-}
-
 /// Machine-readable record of the headline numbers so later PRs can diff
 /// the perf/accuracy trajectory. Path override: AT_BENCH_JSON.
-void write_json(const ServiceSummary& cf, const ServiceSummary& se,
-                const FanoutLatency& fan) {
+void write_json(const ServiceSummary& cf, const ServiceSummary& se) {
   const char* path_env = std::getenv("AT_BENCH_JSON");
   const std::string path =
       path_env != nullptr ? path_env : "BENCH_headline.json";
@@ -219,12 +159,7 @@ void write_json(const ServiceSummary& cf, const ServiceSummary& se,
     os << "\n  }" << (last ? "\n" : ",\n");
   };
   os << "{\n  \"bench\": \"bench_headline_summary\",\n"
-     << "  \"scale\": \"" << (large_scale() ? "large" : "small") << "\",\n"
-     << "  \"fanout\": {\n"
-     << "    \"topology\": \"" << fan.topology << "\",\n"
-     << "    \"groups\": " << fan.groups << ",\n"
-     << "    \"sequential_us_per_query\": " << fan.sequential_us << ",\n"
-     << "    \"sharded_us_per_query\": " << fan.sharded_us << "\n  },\n";
+     << "  \"scale\": \"" << (large_scale() ? "large" : "small") << "\",\n";
   service("cf_recommender", cf, false);
   service("web_search", se, true);
   os << "}\n";
@@ -286,7 +221,6 @@ int main() {
   };
   snapshot_line("CF", cf);
   snapshot_line("search", se);
-  const auto fan = run_fanout();
-  write_json(cf, se, fan);
+  write_json(cf, se);
   return 0;
 }

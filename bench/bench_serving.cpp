@@ -56,7 +56,8 @@ void print_phase(const char* name, const server::ReplayReport& r) {
 
 int main() {
   common::ShardedExecutor exec;
-  auto fx = bench::make_search_fixture_sharded(exec);
+  auto fx = bench::make_search_fixture();
+  fx.service->set_executor(&exec);
 
   server::ServerConfig scfg;
   scfg.max_queue = 8;  // small bound so the burst visibly sheds

@@ -13,17 +13,17 @@ namespace {
 thread_local std::size_t t_current_group = ShardedExecutor::kNoGroup;
 }  // namespace
 
-ShardedExecutor::ShardedExecutor(const Topology& topo) : topo_(topo) {
-  if (topo_.node_cpus.empty())
+ShardedExecutor::ShardedExecutor(const Topology& topo) {
+  if (topo.node_cpus.empty())
     throw std::invalid_argument("ShardedExecutor: empty topology");
-  for (const auto& cpus : topo_.node_cpus) {
+  for (const auto& cpus : topo.node_cpus) {
     if (cpus.empty())
       throw std::invalid_argument("ShardedExecutor: empty topology node");
   }
-  groups_.reserve(topo_.num_nodes());
-  for (std::size_t g = 0; g < topo_.num_nodes(); ++g) {
+  groups_.reserve(topo.num_nodes());
+  for (std::size_t g = 0; g < topo.num_nodes(); ++g) {
     groups_.push_back(std::make_unique<ThreadPool>(
-        topo_.node_cpus[g],
+        topo.node_cpus[g],
         [g](std::size_t /*worker*/) { t_current_group = g; }));
   }
 }
@@ -67,10 +67,8 @@ void ShardedExecutor::for_each_shard(
 void ShardedExecutor::for_each_shard_grouped(
     std::size_t n, const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  // Fault-injection site: a delay here inflates every grouped fan-out
-  // (on the serving front end, the synopsis rung and recommends), an error
-  // makes dispatch itself fail — both must surface as degraded-tier
-  // answers, never crashes.
+  // Fault-injection site: a delay here inflates the dispatch, an error
+  // makes dispatch itself fail and rethrows to the caller.
   AT_FAILPOINT("executor.dispatch");
   const std::size_t G = groups_.size();
   std::vector<std::future<void>> futs;

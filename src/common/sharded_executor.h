@@ -1,13 +1,13 @@
 // Topology-aware sharded execution (ROADMAP "NUMA-aware sharding").
 //
 // A ShardedExecutor owns one pinned worker group (ThreadPool) per topology
-// node. Shards — service components — are assigned a *home group* and all
-// their work is dispatched to that group's pool, so a shard's hot state
-// (CSR pools, accumulators, top-k heaps) is touched only by threads running
-// on its node: first-touch page placement then keeps the pages node-local
-// and the interconnect out of the steady-state path. On a single-node
-// machine the executor degrades to exactly one group over every
-// schedulable CPU, which behaves like the one global ThreadPool it
+// node. Shards — service components — are assigned a *home group* and
+// their update and build work is dispatched to that group's pool, so the
+// pages a shard writes (new rows, rebuilt postings, re-aggregated synopsis
+// groups) are first-touched by threads running on its node. Queries do not
+// run here: each one walks the shards on its caller's thread. On a
+// single-node machine the executor degrades to exactly one group over
+// every schedulable CPU, which behaves like the one global ThreadPool it
 // replaces.
 #pragma once
 
@@ -31,7 +31,6 @@ class ShardedExecutor {
   ShardedExecutor(const ShardedExecutor&) = delete;
   ShardedExecutor& operator=(const ShardedExecutor&) = delete;
 
-  const Topology& topology() const { return topo_; }
   std::size_t num_groups() const { return groups_.size(); }
   std::size_t group_size(std::size_t g) const { return groups_[g]->size(); }
   std::size_t total_workers() const;
@@ -57,11 +56,12 @@ class ShardedExecutor {
                       const std::function<void(std::size_t)>& fn);
 
   /// Same contract, but dispatches ONE task per group which runs (or fans
-  /// out on the group's own pool) every shard homed there. O(groups)
-  /// dispatch overhead instead of O(n) — right for per-query fan-out,
-  /// where task bookkeeping would otherwise rival the scan itself; on a
-  /// one-group machine it degrades to a single task over all shards,
-  /// matching the plain pool's chunking.
+  /// out on the group's own pool) every shard homed there: O(groups)
+  /// dispatch overhead instead of O(n). No library code calls it: queries
+  /// run on the calling thread, because fanning one query across the pool
+  /// costs about twice its CPU. It stays as the building block for an
+  /// adaptive per-query fan-out; the benchmark's trace times one empty
+  /// dispatch with it.
   void for_each_shard_grouped(std::size_t n,
                               const std::function<void(std::size_t)>& fn);
 
@@ -74,7 +74,6 @@ class ShardedExecutor {
  private:
   static void wait_all(std::vector<std::future<void>>& futs);
 
-  Topology topo_;
   std::vector<std::unique_ptr<ThreadPool>> groups_;  // one per node
 };
 

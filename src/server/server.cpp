@@ -583,7 +583,7 @@ Response Server::serve_search(const Request& req, double remaining_ms) {
       }
       // ok == 0: every component failed; fall through the ladder.
     } catch (...) {
-      // Fan-out itself failed (executor fault): degrade, don't die.
+      // Anything else the rung threw: degrade, don't die.
     }
   }
 

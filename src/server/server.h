@@ -10,10 +10,11 @@
 // per-group read queue would buy no locality. A publish never holds a
 // read worker, and updates still apply one at a time in arrival order.
 //
-// The live scan does not fan out: SearchService::exact_topk_partial scans
-// the components in order on the read worker. Fanning a query across the
-// executor pool trims its latency a little but costs about twice the CPU,
-// and under overload the CPU is what the deadlines wait for. On the
+// No read fans out: the full scan, the synopsis rung and both recommend
+// rungs each walk the components in order on the read worker, and the
+// executor pool runs only updates' heavy phases. Fanning a query across
+// the pool trims its latency a little but costs about twice the CPU, and
+// under overload the CPU is what the deadlines wait for. On the
 // benchmark's `burst` workload (single 15 s runs, server on 3 vCPUs of a
 // 4-vCPU Xeon), the share of searches that met their deadline was 0.762
 // with one worker fanning out every query, 0.834 with 3 workers that each
@@ -248,7 +249,7 @@ class Server {
   std::vector<std::unique_ptr<Connection>> connections_
       AT_GUARDED_BY(conn_mutex_);
 
-  // Answer cache: full-tier answers keyed by canonical terms, annotated
+  // Answer cache: full-tier answers keyed by the terms as sent, annotated
   // (QueryCache::ResultMeta) with recorded loss + the effective epoch they
   // were computed in. Thread-safe and doubly bounded (entries + bytes).
   // Every publish re-annotates entries from retired epochs as stale.

@@ -157,7 +157,7 @@ class StandbyReplica {
   /// Non-null once promoted, until stop().
   Server* server();
   /// Non-null once loaded. The replica owns both services and the
-  /// executor they fan out on.
+  /// executor their updates run on.
   search::SearchService* search_service() { return search_.get(); }
   reco::CfService* reco_service() { return reco_.get(); }
 

@@ -60,24 +60,9 @@ synopsis::UpdateReport CfService::update_component(
   return report;
 }
 
-void CfService::for_each_component(
-    const std::function<void(std::size_t)>& fn) const {
-  if (exec_ != nullptr && components_.size() > 1) {
-    // Topology path: each component analyzes on its home group; the
-    // callers' merges stay in component order, so results are identical.
-    exec_->for_each_shard_grouped(components_.size(), fn);
-  } else {
-    for (std::size_t c = 0; c < components_.size(); ++c) fn(c);
-  }
-}
-
 double CfService::predict_exact(const CfRequest& request) const {
-  std::vector<CfPartial> partials(components_.size());
-  for_each_component([&](std::size_t c) {
-    partials[c] = components_[c].analyze(request).exact();
-  });
   CfPartial merged;
-  for (const auto& p : partials) merged.merge(p);
+  for (const auto& c : components_) merged.merge(c.analyze(request).exact());
   return ::at::reco::predict(request, merged, min_rating_, max_rating_);
 }
 
@@ -91,25 +76,17 @@ double CfService::predict(const CfRequest& request, core::Technique technique,
   if (outcomes.size() != components_.size())
     throw std::invalid_argument("CfService::predict: outcome size mismatch");
 
-  std::vector<CfPartial> partials(components_.size());
-  std::vector<char> contributed(components_.size(), 0);
-  for_each_component([&](std::size_t c) {
-    if (technique == Technique::kPartialExecution) {
-      if (!outcomes[c].included) return;
-      partials[c] = components_[c].analyze(request).exact();
-      contributed[c] = 1;
-    } else {  // AccuracyTrader
-      const CfComponentWork work = components_[c].analyze(request);
-      const auto ranked = core::rank_by_correlation(work.correlations);
-      partials[c] = work.after_sets(ranked, outcomes[c].sets);
-      contributed[c] = 1;
-    }
-  });
   CfPartial merged;
   bool any = false;
   for (std::size_t c = 0; c < components_.size(); ++c) {
-    if (!contributed[c]) continue;
-    merged.merge(partials[c]);
+    if (technique == Technique::kPartialExecution) {
+      if (!outcomes[c].included) continue;
+      merged.merge(components_[c].analyze(request).exact());
+    } else {  // AccuracyTrader
+      const CfComponentWork work = components_[c].analyze(request);
+      const auto ranked = core::rank_by_correlation(work.correlations);
+      merged.merge(work.after_sets(ranked, outcomes[c].sets));
+    }
     any = true;
   }
   if (!any) return std::numeric_limits<double>::quiet_NaN();

@@ -1,6 +1,7 @@
-// The fan-out CF recommender service: a request is dispatched to every
-// component (each holding one subset of the rating matrix) and the partial
-// results are merged into the final prediction.
+// The CF recommender service: a request is answered by every component
+// (each holding one subset of the rating matrix), in component order on
+// the calling thread, and the partial results are merged into the final
+// prediction.
 //
 // The service is evaluated *post hoc*: the cluster simulator decides, per
 // request and component, whether the component's result was included
@@ -50,14 +51,12 @@ class CfService {
   common::EpochStats epoch_stats() const;
 
   /// Installs a topology-aware executor: each component is homed on one
-  /// executor group (round-robin), its synopsis updates run on that
-  /// group's pinned pool, and request fan-out dispatches every component
-  /// to its home group. Partial results merge in component order, so
-  /// predictions are bit-identical to the sequential path. Caller owns the
-  /// executor's lifetime; pass nullptr to run every component
-  /// sequentially on the calling thread.
+  /// executor group (round-robin) and its synopsis updates run on that
+  /// group's pinned pool. Predictions never use it: they walk the
+  /// components in order on the calling thread. Caller owns the
+  /// executor's lifetime; pass nullptr to run updates on the calling
+  /// thread.
   void set_executor(common::ShardedExecutor* exec);
-  common::ShardedExecutor* executor() const { return exec_; }
 
   /// Routes an input-data change batch to component `c`, on its home group
   /// when an executor is installed.
@@ -89,11 +88,6 @@ class CfService {
                                 ComponentOutcome outcome) const;
 
  private:
-  /// Runs fn(c) for every component: on its home group when an executor
-  /// is installed, else sequentially in component order.
-  void for_each_component(
-      const std::function<void(std::size_t)>& fn) const;
-
   std::vector<RecommenderComponent> components_;
   double min_rating_;
   double max_rating_;

@@ -46,9 +46,8 @@ std::vector<std::uint32_t> QueryCache::canonical_key(
 
 bool QueryCache::lookup(const std::vector<std::uint32_t>& terms,
                         std::vector<ScoredDoc>* out, ResultMeta* meta) {
-  const Key key = canonical_key(terms);
   common::MutexLock lock(mutex_);
-  auto it = index_.find(key);
+  auto it = index_.find(terms);
   if (it == index_.end()) {
     ++stats_.misses;
     return false;
@@ -62,14 +61,13 @@ bool QueryCache::lookup(const std::vector<std::uint32_t>& terms,
 
 void QueryCache::insert(const std::vector<std::uint32_t>& terms,
                         std::vector<ScoredDoc> result, ResultMeta meta) {
-  Key key = canonical_key(terms);
   common::MutexLock lock(mutex_);
-  const std::size_t incoming = entry_footprint(key.size(), result.size());
+  const std::size_t incoming = entry_footprint(terms.size(), result.size());
   if (max_bytes_ != 0 && incoming > max_bytes_) {
     ++stats_.oversized_rejects;
     return;
   }
-  auto it = index_.find(key);
+  auto it = index_.find(terms);
   if (it != index_.end()) {
     bytes_ -= entry_footprint(it->second->key.size(),
                               it->second->result.size());
@@ -84,8 +82,8 @@ void QueryCache::insert(const std::vector<std::uint32_t>& terms,
     return;
   }
   evict_for(incoming, 1);
-  lru_.push_front(Entry{key, std::move(result), meta});
-  index_[std::move(key)] = lru_.begin();
+  lru_.push_front(Entry{terms, std::move(result), meta});
+  index_[terms] = lru_.begin();
   bytes_ += incoming;
   ++stats_.insertions;
 }

@@ -3,9 +3,11 @@
 // scans its index file..." — high-frequency queries short-circuit the
 // whole two-stage pipeline.
 //
-// Keys are canonicalized (terms sorted, duplicates removed) so "a b" and
-// "b a" share an entry, and looked up through a hashed index (FNV-1a over
-// the canonical term ids) — O(key length) per probe instead of the
+// Keys are the query's terms exactly as sent. The scan scores a repeated
+// term once per occurrence and sums the per-term scores in the order sent,
+// so "a b", "b a" and "a a b" may each have a different exact answer, and
+// each gets its own entry. Keys are looked up through a hashed index
+// (FNV-1a over the term ids) — O(key length) per probe instead of the
 // ordered-map's O(log n) full-key comparisons. Thread-safe; the service
 // invalidates the cache whenever a component's input data changes.
 #pragma once
@@ -99,7 +101,9 @@ class QueryCache {
   static std::size_t entry_footprint(std::size_t key_terms,
                                      std::size_t result_docs);
 
-  /// Canonical cache key of a term list: sorted and deduplicated.
+  /// A term list sorted and deduplicated: queries whose canonical keys
+  /// differ are distinct as term sets, so they never share a cache key.
+  /// Not the cache key itself (see the file comment).
   static std::vector<std::uint32_t> canonical_key(
       const std::vector<std::uint32_t>& terms);
 
@@ -111,8 +115,8 @@ class QueryCache {
     ResultMeta meta;
   };
 
-  /// FNV-1a over the canonical key's term ids (length folded in first so
-  /// prefixes do not collide trivially).
+  /// FNV-1a over the key's term ids (length folded in first so prefixes
+  /// do not collide trivially).
   struct KeyHash {
     std::size_t operator()(const Key& k) const noexcept {
       std::uint64_t h = 0xCBF29CE484222325ull ^ (k.size() * 0x9E3779B97F4A7C15ull);

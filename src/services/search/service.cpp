@@ -6,7 +6,6 @@
 #include <string>
 
 #include "common/failpoint.h"
-#include "common/thread_annotations.h"
 #include "core/algorithm1.h"
 
 namespace at::search {
@@ -101,50 +100,16 @@ synopsis::UpdateReport SearchService::update_component(
   return report;
 }
 
-void SearchService::for_each_component(
-    const std::function<void(std::size_t)>& fn) const {
-  if (exec_ != nullptr && components_.size() > 1) {
-    exec_->for_each_shard_grouped(components_.size(), fn);
-  } else {
-    for (std::size_t c = 0; c < components_.size(); ++c) fn(c);
-  }
-}
-
-void SearchService::fan_out_topk(
-    const std::function<std::vector<ScoredDoc>(std::size_t)>& scan,
-    TopK& top) const {
-  // Every component offers into its node's heap; the tiny per-node heaps
-  // merge at the end instead of funneling every local list through one
-  // thread. `better` is a strict total order over unique doc ids, so heap
-  // contents are insertion-order independent and the merged result is
-  // identical to the sequential component-order scan.
-  const std::size_t groups = exec_ != nullptr ? exec_->num_groups() : 1;
-  std::vector<TopK> node_tops(groups, TopK(top.k()));
-  std::vector<common::Mutex> node_locks(groups);
-  for_each_component([&](std::size_t c) {
-    const auto local = scan(c);
-    if (local.empty()) return;
-    const std::size_t g = exec_ != nullptr ? exec_->home_group(c) : 0;
-    common::MutexLock lock(node_locks[g]);
-    for (const auto& d : local) node_tops[g].offer(d);
-  });
-  for (const auto& nt : node_tops) {
-    for (const auto& d : nt.take()) top.offer(d);
-  }
-}
-
 std::vector<ScoredDoc> SearchService::exact_topk(
     const SearchRequest& request) const {
   TopK top(k_);
-  fan_out_topk(
-      [&](std::size_t c) { return components_[c].exact_topk(request, k_); },
-      top);
+  for (const auto& c : components_)
+    for (const auto& d : c.exact_topk(request, k_)) top.offer(d);
   return top.take();
 }
 
 std::vector<ScoredDoc> SearchService::exact_topk_partial(
     const SearchRequest& request, std::size_t* components_ok) const {
-  // Sequential on the calling thread: see the header.
   std::size_t ok = 0;
   TopK top(k_);
   for (std::size_t c = 0; c < components_.size(); ++c) {
@@ -173,9 +138,8 @@ std::vector<ScoredDoc> SearchService::exact_topk_partial(
 std::vector<ScoredDoc> SearchService::synopsis_topk(
     const SearchRequest& request) const {
   TopK top(k_);
-  fan_out_topk(
-      [&](std::size_t c) { return components_[c].synopsis_topk(request, k_); },
-      top);
+  for (const auto& c : components_)
+    for (const auto& d : c.synopsis_topk(request, k_)) top.offer(d);
   return top.take();
 }
 
@@ -208,20 +172,16 @@ std::vector<ScoredDoc> SearchService::retrieve(
 
   if (technique == Technique::kPartialExecution) {
     TopK top(k_);
-    fan_out_topk(
-        [&](std::size_t c) -> std::vector<ScoredDoc> {
-          if (!outcomes[c].included) return {};
-          return components_[c].exact_topk(request, k_);
-        },
-        top);
+    for (std::size_t c = 0; c < components_.size(); ++c) {
+      if (!outcomes[c].included) continue;
+      for (const auto& d : components_[c].exact_topk(request, k_))
+        top.offer(d);
+    }
     return top.take();
   }
 
   // AccuracyTrader: union of the exactly scored pages from each
-  // component's processed ranked sets. The per-component analysis (synopsis
-  // correlations + exact member scoring) fans out across the executor; the
-  // merge below walks components in order, so results are identical to the
-  // sequential path.
+  // component's processed ranked sets.
   TopK top(k_);
   struct PendingGroup {
     double correlation;
@@ -229,19 +189,15 @@ std::vector<ScoredDoc> SearchService::retrieve(
     std::size_t group;
   };
   std::vector<PendingGroup> unprocessed;
-  std::vector<SearchComponentWork> works(components_.size());
   // Pin ONE snapshot per component for the whole request: the group
   // indices coming out of analyze() are only meaningful against the same
   // epoch's group index, so the padding pass below must read member docs
   // from the snapshot that produced them — not whatever a concurrent
   // update published in between.
   std::vector<std::shared_ptr<const SearchSnapshot>> snaps(components_.size());
-  for (std::size_t c = 0; c < components_.size(); ++c)
-    snaps[c] = components_[c].snapshot();
-  for_each_component(
-      [&](std::size_t c) { works[c] = snaps[c]->analyze(request); });
   for (std::size_t c = 0; c < components_.size(); ++c) {
-    const SearchComponentWork& work = works[c];
+    snaps[c] = components_[c].snapshot();
+    const SearchComponentWork work = snaps[c]->analyze(request);
     const auto ranked = core::rank_by_correlation(work.correlations);
     const std::size_t sets =
         std::min<std::size_t>(outcomes[c].sets, ranked.size());

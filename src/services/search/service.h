@@ -1,6 +1,7 @@
-// The fan-out search service: a query is dispatched to every shard
-// component; local results merge into the global top-k, whose overlap with
-// the exact top-k is the paper's accuracy metric.
+// The search service: a query is answered by every shard component, in
+// component order on the calling thread; local results merge into the
+// global top-k, whose overlap with the exact top-k is the paper's accuracy
+// metric.
 #pragma once
 
 #include <atomic>
@@ -65,17 +66,12 @@ class SearchService {
 
   /// Installs a topology-aware executor: every component is assigned a
   /// home group (round-robin over the executor's nodes) and its
-  /// update/build work runs on that group's pinned pool. exact_topk,
-  /// synopsis_topk and retrieve fan out: each component is dispatched to
-  /// its home group, collecting into one top-k heap per node that is
-  /// merged at the end. exact_topk_partial, the live server's scan, never
-  /// fans out. The scoring order (score desc, doc asc) is a strict total
-  /// order over globally unique doc ids, so the per-node merge is
-  /// bit-identical to the sequential component-order scan (pinned by
-  /// tests). The caller owns the executor's lifetime; pass nullptr to run
-  /// every component sequentially on the calling thread.
+  /// update/build work runs on that group's pinned pool. Queries never use
+  /// it: every query method walks the components in order on the calling
+  /// thread, because fanning one query across the pool costs about twice
+  /// its CPU (see server.h). The caller owns the executor's lifetime; pass
+  /// nullptr to run updates on the calling thread.
   void set_executor(common::ShardedExecutor* exec);
-  common::ShardedExecutor* executor() const { return exec_; }
 
   /// Routes an input-data change batch to component `c`. The component
   /// derives and publishes a new epoch by copy on write — concurrent
@@ -93,13 +89,7 @@ class SearchService {
   /// query. `components_ok` (may be null) receives how many components
   /// actually contributed, so callers can mark the answer degraded and
   /// estimate its accuracy loss.
-  ///
-  /// Runs on the calling thread, components in order, even with an
-  /// executor installed. The server calls it from one read worker per CPU,
-  /// each running a search to completion; fanning out on top of that would
-  /// roughly double the CPU per query for a slightly lower latency, which
-  /// loses deadlines under overload (see server.h). The answer is
-  /// bit-identical to exact_topk's.
+  /// The answer is bit-identical to exact_topk's.
   std::vector<ScoredDoc> exact_topk_partial(const SearchRequest& request,
                                             std::size_t* components_ok) const;
 
@@ -136,17 +126,6 @@ class SearchService {
                                     ComponentOutcome outcome) const;
 
  private:
-  /// Runs fn(c) for every component: on its home group when an executor
-  /// is installed, else sequentially in component order.
-  void for_each_component(const std::function<void(std::size_t)>& fn) const;
-
-  /// Runs the per-component scan and merges the locals into `top` through
-  /// one heap per executor node (one heap when sequential). `scan` returns
-  /// the component's local top-k (empty for skipped components).
-  void fan_out_topk(
-      const std::function<std::vector<ScoredDoc>(std::size_t)>& scan,
-      TopK& top) const;
-
   /// Recomputes the corpus-global idf from current component contents and
   /// publishes it into every component (each a cheap epoch).
   void rebuild_global_idf();

@@ -25,7 +25,6 @@ class TopK {
   void offer(const ScoredDoc& d);
   void offer(double score, std::uint64_t doc) { offer(ScoredDoc{score, doc}); }
 
-  std::size_t k() const { return k_; }
   std::size_t size() const { return heap_.size(); }
 
   /// Results in rank order (best first). Does not consume the collector.

@@ -458,13 +458,19 @@ TEST(QueryCacheTest, HitMissAndStats) {
   EXPECT_DOUBLE_EQ(s.hit_rate(), 0.5);
 }
 
-TEST(QueryCacheTest, KeyCanonicalization) {
+TEST(QueryCacheTest, KeyIsTheTermSequenceAsSent) {
+  // The scan sums per-term scores in the order sent and scores a repeated
+  // term twice, so a reordered or repeated query may have another answer.
   QueryCache cache(4);
   cache.insert({3, 1, 2}, {{1.0, 9}});
   std::vector<ScoredDoc> out;
-  EXPECT_TRUE(cache.lookup({2, 3, 1}, &out));   // order-insensitive
-  EXPECT_TRUE(cache.lookup({1, 1, 2, 3}, &out));  // dup-insensitive
+  EXPECT_TRUE(cache.lookup({3, 1, 2}, &out));
+  EXPECT_FALSE(cache.lookup({2, 3, 1}, &out));     // reordered
+  EXPECT_FALSE(cache.lookup({3, 1, 1, 2}, &out));  // repeated term
   EXPECT_FALSE(cache.lookup({1, 2}, &out));
+  // canonical_key is the term set, not the cache key.
+  EXPECT_EQ(QueryCache::canonical_key({3, 1, 1, 2}),
+            (std::vector<std::uint32_t>{1, 2, 3}));
 }
 
 TEST(QueryCacheTest, LruEviction) {
@@ -548,7 +554,7 @@ TEST(QueryCacheTest, ManyKeysHashedIndexStaysConsistent) {
   EXPECT_EQ(cache.stats().evictions, 384u);
   std::vector<ScoredDoc> out;
   for (std::uint32_t i = 384; i < 400; ++i) {
-    ASSERT_TRUE(cache.lookup({i + 2, i, i + 1}, &out)) << i;  // canonical hit
+    ASSERT_TRUE(cache.lookup({i, i + 1, i + 2}, &out)) << i;
     EXPECT_EQ(out[0].doc, i);
   }
   for (std::uint32_t i = 0; i < 384; ++i) {
@@ -838,7 +844,7 @@ TEST(QueryCacheTest, ResultMetaStoredAndReturned) {
   cache.insert({1, 2}, {{1.0, 7}}, ResultMeta{12.5, 3});
   std::vector<ScoredDoc> out;
   ResultMeta meta;
-  ASSERT_TRUE(cache.lookup({2, 1}, &out, &meta));
+  ASSERT_TRUE(cache.lookup({1, 2}, &out, &meta));
   EXPECT_DOUBLE_EQ(meta.loss_pct, 12.5);
   EXPECT_EQ(meta.epoch, 3u);
   // Default-inserted entries carry the zero annotation.

@@ -16,6 +16,7 @@
 
 #include <fstream>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -65,6 +66,24 @@ workload::CorpusConfig test_corpus_config() {
   return cfg;
 }
 
+synopsis::BuildConfig test_build_config(double size_ratio = 10.0) {
+  synopsis::BuildConfig cfg;
+  cfg.svd.rank = 2;
+  cfg.svd.epochs_per_dim = 40;
+  cfg.size_ratio = size_ratio;
+  return cfg;
+}
+
+/// A recommender over the rating subsets of `rwl`, generated from `rcfg`.
+reco::CfService cf_service(workload::RatingWorkload& rwl,
+                           const workload::RatingConfig& rcfg,
+                           double size_ratio = 10.0) {
+  std::vector<reco::RecommenderComponent> comps;
+  for (auto& subset : rwl.subsets)
+    comps.emplace_back(std::move(subset), test_build_config(size_ratio));
+  return reco::CfService(std::move(comps), rcfg.min_rating, rcfg.max_rating);
+}
+
 struct ServingFixture {
   std::unique_ptr<common::ShardedExecutor> exec;
   std::unique_ptr<search::SearchService> service;
@@ -76,15 +95,11 @@ ServingFixture& fixture() {
     ServingFixture f;
     workload::CorpusGen gen(test_corpus_config());
     auto wl = gen.generate(24);
-    synopsis::BuildConfig bcfg;
-    bcfg.svd.rank = 2;
-    bcfg.svd.epochs_per_dim = 40;
-    bcfg.size_ratio = 10.0;
     std::vector<search::SearchComponent> comps;
     std::uint64_t base = 0;
     for (auto& shard : wl.shards) {
       const auto n = shard.rows();
-      comps.emplace_back(std::move(shard), base, bcfg);
+      comps.emplace_back(std::move(shard), base, test_build_config());
       base += n;
     }
     f.exec = std::make_unique<common::ShardedExecutor>();
@@ -434,6 +449,46 @@ TEST_F(ServerTest, ServesFullTierAndCachesRepeats) {
   EXPECT_GT(snap.full.p50_ms, 0.0);
   EXPECT_GT(snap.cached.p50_ms, 0.0);
   EXPECT_GT(snap.cached.p99_ms, 0.0);
+  srv.stop();
+}
+
+TEST_F(ServerTest, CacheServesOnlyTheTermSequenceItWasComputedFor) {
+  // The scan scores a repeated term twice and sums per-term scores in the
+  // order sent, so a query's cached answer is not the exact answer of the
+  // same terms repeated or reordered.
+  auto& fx = fixture();
+  Server srv(*fx.service, nullptr, *fx.exec, test_server_config());
+  srv.start();
+  Client client(client_config(srv.port()));
+  const auto q = std::find_if(fx.queries.begin(), fx.queries.end(),
+                              [](const auto& r) { return r.terms.size() > 2; });
+  ASSERT_NE(q, fx.queries.end());
+  const auto& terms = q->terms;
+
+  Response first;
+  std::string err;
+  ASSERT_TRUE(client.search(terms, 1000, 10, &first, &err)) << err;
+  ASSERT_EQ(first.tier, Tier::kFull);
+
+  std::vector<std::uint32_t> repeated = terms;
+  repeated.push_back(terms.front());
+  const std::vector<std::uint32_t> reversed(terms.rbegin(), terms.rend());
+  for (const auto& variant : {repeated, reversed}) {
+    Response resp;
+    ASSERT_TRUE(client.search(variant, 1000, 10, &resp, &err)) << err;
+    EXPECT_EQ(resp.tier, Tier::kFull);
+    EXPECT_DOUBLE_EQ(resp.est_loss_pct, 0.0);
+    const auto exact = fx.service->exact_topk(search::SearchRequest{variant});
+    ASSERT_EQ(resp.docs.size(), exact.size());
+    for (std::size_t i = 0; i < exact.size(); ++i) {
+      EXPECT_EQ(resp.docs[i].doc, exact[i].doc) << "rank " << i;
+      EXPECT_EQ(resp.docs[i].score, exact[i].score) << "rank " << i;
+    }
+  }
+
+  Response again;
+  ASSERT_TRUE(client.search(terms, 1000, 10, &again, &err)) << err;
+  EXPECT_EQ(again.tier, Tier::kCached);
   srv.stop();
 }
 
@@ -882,15 +937,11 @@ std::unique_ptr<search::SearchService> private_service() {
   ccfg.docs_per_component = 80;
   workload::CorpusGen gen(ccfg);
   auto wl = gen.generate(8);
-  synopsis::BuildConfig bcfg;
-  bcfg.svd.rank = 2;
-  bcfg.svd.epochs_per_dim = 40;
-  bcfg.size_ratio = 10.0;
   std::vector<search::SearchComponent> comps;
   std::uint64_t base = 0;
   for (auto& shard : wl.shards) {
     const auto n = shard.rows();
-    comps.emplace_back(std::move(shard), base, bcfg);
+    comps.emplace_back(std::move(shard), base, test_build_config());
     base += n;
   }
   return std::make_unique<search::SearchService>(std::move(comps), 10);
@@ -951,16 +1002,28 @@ TEST_F(ServerTest, UpdateOpRetrainsPublishesEpochAndMarksCacheStale) {
 }
 
 TEST_F(ServerTest, StalledPublishDoesNotHoldUpASearch) {
-  // Updates run on the writer lane, never on a read worker: a search sent
-  // while a publish is stalled answers in its own scan time. One read
-  // worker (a one-CPU group), so on any host the search would wait out
-  // the stall if the update held that worker.
+  // Updates run on the writer lane and their heavy phases on the
+  // executor's pool; no read runs on either. Both services sit on one
+  // one-CPU executor, as in at_server, so the stalled publish holds the
+  // pool's only worker. A full search, a recommend and a synopsis-rung
+  // search sent during the stall must each answer in its own time.
   common::Topology topo;
   topo.node_cpus = {{0}};
   common::ShardedExecutor exec(topo);
   auto service = private_service();
+  service->set_executor(&exec);
+  workload::RatingConfig rcfg;
+  rcfg.num_components = 2;
+  rcfg.users_per_component = 60;
+  rcfg.num_items = 64;
+  rcfg.seed = 11;
+  auto rwl = workload::RatingWorkloadGen(rcfg).generate(4, 1);
+  ASSERT_FALSE(rwl.requests.empty());
+  const auto request = rwl.requests.front();
+  reco::CfService reco = cf_service(rwl, rcfg);
+  reco.set_executor(&exec);
   auto& fx = fixture();
-  Server srv(*service, nullptr, exec, test_server_config());
+  Server srv(*service, &reco, exec, test_server_config());
   srv.start();
 
   fp::set("epoch.publish", "delay:300:x1");
@@ -979,13 +1042,27 @@ TEST_F(ServerTest, StalledPublishDoesNotHoldUpASearch) {
   EXPECT_EQ(fp::hits("epoch.publish"), 1u);
 
   Client client(client_config(srv.port()));
-  Response resp;
+  Response full, rec, syn;
   std::string err;
-  EXPECT_TRUE(client.search(fx.queries[20].terms, 2000, 10, &resp, &err))
+  EXPECT_TRUE(client.search(fx.queries[20].terms, 2000, 10, &full, &err))
       << err;
-  EXPECT_EQ(resp.status, Status::kOk);
-  EXPECT_EQ(resp.tier, Tier::kFull);
-  EXPECT_LT(resp.server_ms, 150.0);
+  EXPECT_EQ(full.status, Status::kOk);
+  EXPECT_EQ(full.tier, Tier::kFull);
+  EXPECT_LT(full.server_ms, 150.0);
+
+  EXPECT_TRUE(client.recommend(request.target_item, request.ratings, 2000,
+                               &rec, &err))
+      << err;
+  EXPECT_EQ(rec.status, Status::kOk);
+  EXPECT_EQ(rec.tier, Tier::kFull);
+  EXPECT_LT(rec.server_ms, 150.0);
+
+  fp::set("server.scan", "error");
+  EXPECT_TRUE(client.search(fx.queries[19].terms, 2000, 10, &syn, &err))
+      << err;
+  EXPECT_EQ(syn.status, Status::kOk);
+  EXPECT_EQ(syn.tier, Tier::kSynopsis);
+  EXPECT_LT(syn.server_ms, 150.0);
 
   updater.join();
   EXPECT_TRUE(up_answered) << up_err;
@@ -1056,13 +1133,7 @@ TEST_F(ServerTest, RecommenderUpdateEmitsReplayableDelta) {
   rcfg.seed = 11;
   workload::RatingWorkloadGen rgen(rcfg);
   auto rwl = rgen.generate(4, 1);
-  synopsis::BuildConfig bcfg;
-  bcfg.svd.rank = 2;
-  bcfg.svd.epochs_per_dim = 40;
-  bcfg.size_ratio = 10.0;
-  std::vector<reco::RecommenderComponent> rcomps;
-  for (auto& subset : rwl.subsets) rcomps.emplace_back(std::move(subset), bcfg);
-  reco::CfService reco(std::move(rcomps), rcfg.min_rating, rcfg.max_rating);
+  reco::CfService reco = cf_service(rwl, rcfg);
 
   auto service = private_service();
   auto& fx = fixture();
@@ -1305,13 +1376,7 @@ TEST_F(ServerTest, LiveRecommendAnswersTheExactPrediction) {
   workload::RatingWorkloadGen rgen(rcfg);
   auto rwl = rgen.generate(20, 1);
   ASSERT_FALSE(rwl.requests.empty());
-  synopsis::BuildConfig bcfg;
-  bcfg.svd.rank = 2;
-  bcfg.svd.epochs_per_dim = 40;
-  bcfg.size_ratio = 12.0;
-  std::vector<reco::RecommenderComponent> rcomps;
-  for (auto& subset : rwl.subsets) rcomps.emplace_back(std::move(subset), bcfg);
-  reco::CfService reco(std::move(rcomps), rcfg.min_rating, rcfg.max_rating);
+  reco::CfService reco = cf_service(rwl, rcfg, 12.0);
   auto& fx = fixture();
   reco.set_executor(fx.exec.get());
 

@@ -1,6 +1,6 @@
 // Topology-aware sharded execution layer tests: AT_TOPOLOGY parsing and
 // discovery, ShardedExecutor dispatch (home groups, nested fan-out,
-// exception propagation), sharded service fan-out parity, and the
+// exception propagation), service updates on their home groups, and the
 // deterministic concurrency stress suite that hammers ShardedExecutor +
 // ScoreAccumulator epochs (including the epoch-stamp wrap path) under
 // simulated 1/2/4-node layouts.
@@ -240,7 +240,7 @@ TEST(ThreadPoolPinned, PinnedConstructorRunsTasks) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded service fan-out parity
+// Service updates on the home group
 // ---------------------------------------------------------------------------
 
 synopsis::BuildConfig service_build_config() {
@@ -257,55 +257,6 @@ void expect_same_docs(const std::vector<search::ScoredDoc>& a,
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].doc, b[i].doc) << "rank " << i;
     EXPECT_EQ(a[i].score, b[i].score) << "rank " << i;
-  }
-}
-
-TEST(ShardedFanout, SearchTopkBitIdenticalAcrossLayouts) {
-  workload::CorpusConfig cfg;
-  cfg.num_components = 5;
-  cfg.docs_per_component = 80;
-  cfg.vocab_size = 400;
-  cfg.num_topics = 6;
-  cfg.topic_vocab = 40;
-  cfg.seed = 31;
-  workload::CorpusGen gen(cfg);
-  auto wl = gen.generate(30);
-  std::vector<search::SearchComponent> comps;
-  std::uint64_t base = 0;
-  for (auto& shard : wl.shards) {
-    const auto docs = shard.rows();
-    comps.emplace_back(std::move(shard), base, service_build_config());
-    base += docs;
-  }
-  search::SearchService service(std::move(comps), 10);
-
-  // Sequential reference.
-  std::vector<std::vector<search::ScoredDoc>> reference;
-  for (const auto& q : wl.queries) reference.push_back(service.exact_topk(q));
-
-  const std::vector<core::ComponentOutcome> outcomes(
-      service.num_components(), core::ComponentOutcome{true, 2});
-
-  for (std::size_t nodes : {1u, 2u, 4u}) {
-    ShardedExecutor exec(common::simulated_topology(nodes));
-    service.set_executor(&exec);
-    for (std::size_t i = 0; i < wl.queries.size(); ++i) {
-      expect_same_docs(service.exact_topk(wl.queries[i]), reference[i]);
-      // The live server's sequential scan answers the same on every layout.
-      expect_same_docs(service.exact_topk_partial(wl.queries[i], nullptr),
-                       reference[i]);
-      // Techniques fan out through the same dispatch; spot-check a few.
-      if (i < 5) {
-        const auto seq = service.retrieve(
-            wl.queries[i], core::Technique::kAccuracyTrader, outcomes);
-        service.set_executor(nullptr);
-        const auto ref = service.retrieve(
-            wl.queries[i], core::Technique::kAccuracyTrader, outcomes);
-        service.set_executor(&exec);
-        expect_same_docs(seq, ref);
-      }
-    }
-    service.set_executor(nullptr);
   }
 }
 
@@ -330,6 +281,12 @@ TEST(ShardedFanout, SearchUpdateOnHomeGroupKeepsServing) {
   ShardedExecutor exec(common::simulated_topology(2));
   service.set_executor(&exec);
 
+  // The publish runs on the updating thread: record whose it was.
+  std::size_t published_on = ShardedExecutor::kNoGroup;
+  service.component(1).set_delta_sink(
+      [&](const synopsis::UpdateBatch&, std::uint64_t, std::uint64_t) {
+        published_on = ShardedExecutor::current_group();
+      });
   common::Rng rng(7);
   synopsis::UpdateBatch batch;
   for (int i = 0; i < 5; ++i) batch.added.push_back(gen.sample_doc(rng));
@@ -337,11 +294,11 @@ TEST(ShardedFanout, SearchUpdateOnHomeGroupKeepsServing) {
   const auto report = service.update_component(1, batch);
   EXPECT_EQ(report.points_added, 5u);
   EXPECT_EQ(service.component(1).num_docs(), before + 5);
+  EXPECT_EQ(published_on, exec.home_group(1));
   for (const auto& q : wl.queries) {
-    const auto sharded = service.exact_topk(q);
-    service.set_executor(nullptr);
-    expect_same_docs(sharded, service.exact_topk(q));
-    service.set_executor(&exec);
+    std::size_t ok = 0;
+    expect_same_docs(service.exact_topk_partial(q, &ok), service.exact_topk(q));
+    EXPECT_EQ(ok, service.num_components());
   }
 }
 
@@ -361,6 +318,11 @@ TEST(ShardedFanout, CfUpdateOnHomeGroupKeepsPredicting) {
   ShardedExecutor exec(common::simulated_topology(2));
   service.set_executor(&exec);
 
+  std::size_t published_on = ShardedExecutor::kNoGroup;
+  service.component(2).set_delta_sink(
+      [&](const synopsis::UpdateBatch&, std::uint64_t, std::uint64_t) {
+        published_on = ShardedExecutor::current_group();
+      });
   common::Rng rng(5);
   synopsis::UpdateBatch batch;
   for (int i = 0; i < 4; ++i) batch.added.push_back(gen.sample_user(rng));
@@ -368,49 +330,14 @@ TEST(ShardedFanout, CfUpdateOnHomeGroupKeepsPredicting) {
   const auto report = service.update_component(2, batch);
   EXPECT_EQ(report.points_added, 4u);
   EXPECT_EQ(service.component(2).num_users(), before + 4);
+  EXPECT_EQ(published_on, exec.home_group(2));
+  // Every component still answers: partial execution with all of them
+  // included is the exact prediction.
+  const std::vector<core::ComponentOutcome> all(
+      service.num_components(), core::ComponentOutcome{true, 0});
   for (const auto& r : wl.requests) {
-    const double sharded = service.predict_exact(r);
-    service.set_executor(nullptr);
-    EXPECT_EQ(sharded, service.predict_exact(r));
-    service.set_executor(&exec);
-  }
-}
-
-TEST(ShardedFanout, CfPredictionsBitIdenticalAcrossLayouts) {
-  workload::RatingConfig cfg;
-  cfg.num_components = 5;
-  cfg.users_per_component = 60;
-  cfg.num_items = 50;
-  cfg.num_clusters = 5;
-  cfg.seed = 37;
-  workload::RatingWorkloadGen gen(cfg);
-  auto wl = gen.generate(30, 2);
-  std::vector<reco::RecommenderComponent> comps;
-  for (auto& subset : wl.subsets)
-    comps.emplace_back(std::move(subset), service_build_config());
-  reco::CfService service(std::move(comps), cfg.min_rating, cfg.max_rating);
-
-  std::vector<double> reference;
-  for (const auto& r : wl.requests) reference.push_back(service.predict_exact(r));
-
-  const std::vector<core::ComponentOutcome> outcomes(
-      service.num_components(), core::ComponentOutcome{true, 1});
-  std::vector<double> reference_at;
-  for (const auto& r : wl.requests) {
-    reference_at.push_back(
-        service.predict(r, core::Technique::kAccuracyTrader, outcomes));
-  }
-
-  for (std::size_t nodes : {1u, 2u, 4u}) {
-    ShardedExecutor exec(common::simulated_topology(nodes));
-    service.set_executor(&exec);
-    for (std::size_t i = 0; i < wl.requests.size(); ++i) {
-      EXPECT_EQ(service.predict_exact(wl.requests[i]), reference[i]);
-      EXPECT_EQ(service.predict(wl.requests[i],
-                                core::Technique::kAccuracyTrader, outcomes),
-                reference_at[i]);
-    }
-    service.set_executor(nullptr);
+    EXPECT_EQ(service.predict(r, core::Technique::kPartialExecution, all),
+              service.predict_exact(r));
   }
 }
 

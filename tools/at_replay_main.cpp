@@ -11,7 +11,8 @@
 // Flags: --port N       (required) server port
 //        --clients N    concurrent clients (default 4)
 //        --requests N   requests per client (default 50)
-//        --deadline MS  per-request deadline (default 100)
+//        --deadline MS  per-request deadline (default 100; 0 sends none,
+//                       so the server applies its own default)
 //        --reco-frac P  fraction [0,1] of recommend ops (default 0.1)
 //        --update-mix P fraction [0,1] of online-retraining update ops,
 //                       interleaved with the query load from the same

@@ -12,6 +12,7 @@
 //        --queue N       admission bound per queue: the read queue and
 //                        the writer lane (default 64)
 //        --deadline MS   default deadline for requests that carry none
+//                        (default 100)
 //        --no-reco       skip building the recommender
 //        --delta-dir P   emit one DLTA delta artifact per epoch publish
 //                        into directory P (warm-standby tailing; see
@@ -20,9 +21,10 @@
 //                        per component + the global idf) into directory P
 //                        right after startup; prints "CHECKPOINT <dir>"
 //
-// A bad flag value (--components or --docs not positive, a negative
-// --queue or --deadline, a --port outside 0-65535) or any setup failure
-// prints "at_server: <what>" and exits 1.
+// A bad flag value (--components, --docs, --queue or --deadline not
+// positive, a --port outside 0-65535) or any setup failure prints
+// "at_server: <what>" and exits 1. A zero --queue or --deadline would shed
+// every request.
 //
 // Fault injection: arm failpoints via AT_FAILPOINTS (see README).
 #include <csignal>
@@ -70,8 +72,8 @@ int main(int argc, char** argv) {
   try {
     require(components > 0, "--components must be positive");
     require(docs > 0, "--docs must be positive");
-    require(queue >= 0, "--queue must not be negative");
-    require(deadline >= 0, "--deadline must not be negative");
+    require(queue > 0, "--queue must be positive");
+    require(deadline > 0, "--deadline must be positive");
     require(port >= 0 && port <= 65535, "--port must be in 0-65535");
 
     // Search corpus + service.

@@ -18,13 +18,14 @@
 //        --port N        port the promoted server binds (default 0)
 //        --poll-ms N     tailer poll interval (default 20)
 //        --queue N       admission bound per queue once promoted
-//        --deadline MS   default deadline once promoted
+//                        (default 64)
+//        --deadline MS   default deadline once promoted (default 100)
 //        --emit-deltas   promoted server keeps emitting deltas into the
 //                        tailed directory, continuing the primary's chain
 //
-// A bad flag value (a --port outside 0-65535, a --poll-ms not positive, a
-// negative --queue or --deadline), a missing directory flag or a failed
-// load prints "at_standby: <what>" and exits 1.
+// A bad flag value (a --port outside 0-65535; a --poll-ms, --queue or
+// --deadline not positive), a missing directory flag or a failed load
+// prints "at_standby: <what>" and exits 1.
 //
 // Fault injection: arm failpoints via AT_FAILPOINTS (standby.apply,
 // standby.promote; see README).
@@ -66,8 +67,8 @@ int main(int argc, char** argv) {
             "--ckpt-dir and --delta-dir are required");
     require(port >= 0 && port <= 65535, "--port must be in 0-65535");
     require(poll_ms > 0, "--poll-ms must be positive");
-    require(queue >= 0, "--queue must not be negative");
-    require(deadline >= 0, "--deadline must not be negative");
+    require(queue > 0, "--queue must be positive");
+    require(deadline > 0, "--deadline must be positive");
     cfg.poll_interval_ms = static_cast<double>(poll_ms);
     cfg.server.port = static_cast<std::uint16_t>(port);
     cfg.server.max_queue = static_cast<std::size_t>(queue);
