@@ -71,8 +71,9 @@ struct SparseEntry {
 ///  * `entries` — coordinate format, the hand-construction format;
 ///  * CSR companions `row_ptr`/`col_idx`/`values` — contiguous row-major
 ///    arrays that the numeric kernels iterate (cache-friendly, SoA).
-/// SparseRows::to_dataset fills both; datasets built by hand from `entries`
-/// get their CSR form on demand via build_csr().
+/// SparseRows::to_dataset fills both, SparseRows::csr_dataset only CSR;
+/// datasets built by hand from `entries` get their CSR form on demand via
+/// build_csr(). The numeric kernels read CSR whenever it is present.
 struct SparseDataset {
   std::size_t rows = 0;
   std::size_t cols = 0;

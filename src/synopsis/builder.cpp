@@ -68,7 +68,7 @@ SynopsisStructure SynopsisBuilder::build(const SparseRows& data,
   // Step 1: dimensionality reduction. The reduced dataset preserves
   // proximity: rows similar in the original space stay close in R^j.
   linalg::SvdModel svd =
-      linalg::incremental_svd(data.to_dataset(), config_.svd, pool);
+      linalg::incremental_svd(data.csr_dataset(), config_.svd, pool);
 
   // Step 2a: organize the reduced points with an R-tree (bulk-loaded; the
   // paper builds the initial tree offline in O(k log k)).

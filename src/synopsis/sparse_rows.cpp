@@ -125,23 +125,27 @@ void SparseRows::reserve_entries(std::size_t entries) {
   val_pool_.reserve(val_pool_.size() + entries);
 }
 
-linalg::SparseDataset SparseRows::span_dataset(std::uint32_t first) const {
+linalg::SparseDataset SparseRows::span_dataset(std::uint32_t first,
+                                               bool with_entries) const {
+  if (first > extents_.size())
+    throw std::out_of_range("SparseRows: dataset span starts past the rows");
   linalg::SparseDataset ds;
   ds.rows = extents_.size() - first;
   ds.cols = cols_;
   std::size_t n = 0;
   for (std::size_t r = first; r < extents_.size(); ++r) n += extents_[r].len;
-  ds.entries.reserve(n);
+  if (with_entries) ds.entries.reserve(n);
   ds.row_ptr.reserve(ds.rows + 1);
   ds.col_idx.reserve(n);
   ds.values.reserve(n);
   ds.row_ptr.push_back(0);
   for (std::size_t r = first; r < extents_.size(); ++r) {
     const Extent& e = extents_[r];
-    const auto local = static_cast<std::uint32_t>(r - first);
-    for (std::uint32_t i = 0; i < e.len; ++i) {
-      ds.entries.push_back(
-          {local, col_pool_[e.off + i], val_pool_[e.off + i]});
+    if (with_entries) {
+      const auto local = static_cast<std::uint32_t>(r - first);
+      for (std::uint32_t i = 0; i < e.len; ++i)
+        ds.entries.push_back(
+            {local, col_pool_[e.off + i], val_pool_[e.off + i]});
     }
     ds.col_idx.insert(ds.col_idx.end(), col_pool_.begin() + e.off,
                       col_pool_.begin() + e.off + e.len);
@@ -153,13 +157,15 @@ linalg::SparseDataset SparseRows::span_dataset(std::uint32_t first) const {
 }
 
 linalg::SparseDataset SparseRows::to_dataset() const {
-  return span_dataset(0);
+  return span_dataset(0, true);
 }
 
 linalg::SparseDataset SparseRows::tail_dataset(std::uint32_t first) const {
-  if (first > extents_.size())
-    throw std::out_of_range("SparseRows::tail_dataset: first out of range");
-  return span_dataset(first);
+  return span_dataset(first, true);
+}
+
+linalg::SparseDataset SparseRows::csr_dataset(std::uint32_t first) const {
+  return span_dataset(first, false);
 }
 
 }  // namespace at::synopsis

@@ -258,13 +258,19 @@ class SparseRows {
   /// first row becomes row 0 (used for SVD fold-in of appended rows).
   linalg::SparseDataset tail_dataset(std::uint32_t first) const;
 
+  /// tail_dataset(first) without the COO `entries`: the CSR arrays alone,
+  /// which are all the SVD, its fold-in and reconstruction_rmse read. Saves
+  /// the 16 bytes per entry a build would otherwise hold on to.
+  linalg::SparseDataset csr_dataset(std::uint32_t first = 0) const;
+
  private:
   struct Extent {
     std::size_t off = 0;
     std::uint32_t len = 0;
   };
 
-  linalg::SparseDataset span_dataset(std::uint32_t first) const;
+  linalg::SparseDataset span_dataset(std::uint32_t first,
+                                     bool with_entries) const;
 
   std::size_t cols_;
   std::vector<std::uint32_t> col_pool_;

@@ -33,7 +33,7 @@ UpdateReport SynopsisUpdater::apply(SynopsisStructure& s, SparseRows& data,
     }
     // Fold the appended rows into the SVD (column factors frozen; rows are
     // independent, so the pool-parallel path matches the sequential one).
-    linalg::SparseDataset tail = data.tail_dataset(first_new);
+    linalg::SparseDataset tail = data.csr_dataset(first_new);
     linalg::fold_in_rows(s.svd, tail, config_.svd, pool);
 
     // Mirror the new coordinates into `reduced` and insert leaf entries.

@@ -72,22 +72,32 @@ search::SearchRequest CorpusGen::sample_query(common::Rng& rng) const {
 }
 
 SearchWorkload CorpusGen::generate(std::size_t num_queries) const {
-  common::Rng rng(config_.seed ^ 0xc0ffeeULL);
   SearchWorkload out;
   out.shards.reserve(config_.num_components);
+  out.queries = generate(num_queries, [&out](synopsis::SparseRows shard) {
+    out.shards.push_back(std::move(shard));
+  });
+  return out;
+}
+
+std::vector<search::SearchRequest> CorpusGen::generate(
+    std::size_t num_queries,
+    const std::function<void(synopsis::SparseRows)>& on_shard) const {
+  common::Rng rng(config_.seed ^ 0xc0ffeeULL);
   for (std::size_t c = 0; c < config_.num_components; ++c) {
     synopsis::SparseRows shard(config_.vocab_size);
     for (std::size_t d = 0; d < config_.docs_per_component; ++d) {
       const std::size_t topic = rng.uniform_index(config_.num_topics);
       shard.add_row(make_doc(topic, rng));
     }
-    out.shards.push_back(std::move(shard));
+    on_shard(std::move(shard));
   }
-  out.queries.reserve(num_queries);
+  std::vector<search::SearchRequest> queries;
+  queries.reserve(num_queries);
   for (std::size_t q = 0; q < num_queries; ++q) {
-    out.queries.push_back(sample_query(rng));
+    queries.push_back(sample_query(rng));
   }
-  return out;
+  return queries;
 }
 
 }  // namespace at::workload

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/rng.h"
@@ -46,6 +47,13 @@ class CorpusGen {
 
   /// Generates the shards plus `num_queries` topic-focused queries.
   SearchWorkload generate(std::size_t num_queries) const;
+
+  /// The same corpus, streamed: hands each shard to `on_shard` as soon as
+  /// it is complete, in shard order, then returns the queries. Shards and
+  /// queries are identical to generate(num_queries)'s, which wraps this.
+  std::vector<search::SearchRequest> generate(
+      std::size_t num_queries,
+      const std::function<void(synopsis::SparseRows)>& on_shard) const;
 
   /// One additional document (for update batches).
   synopsis::SparseVector sample_doc(common::Rng& rng) const;

@@ -1,14 +1,19 @@
 // Search service tests: tokenizer/vocabulary, inverted index vs. naive
-// scoring, top-k, component decomposition, service-level techniques.
+// scoring, top-k, component decomposition, service-level techniques, and
+// the pipelined startup build against the serial one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <future>
 #include <sstream>
 
 #include "common/artifact.h"
 #include "common/failpoint.h"
+#include "common/sharded_executor.h"
 #include "services/search/component.h"
+#include "services/search/component_builder.h"
 #include "services/search/inverted_index.h"
 #include "services/search/query_cache.h"
 #include "services/search/service.h"
@@ -946,6 +951,127 @@ TEST_F(SearchServiceTest, ComponentUpdateKeepsSearchWorking) {
   EXPECT_EQ(comp.num_docs(), before + 4);
   const auto r = comp.exact_topk(queries_[0], 10);
   EXPECT_LE(r.size(), 10u);
+}
+
+// ---------------------------------------------------------------------------
+// The pipelined startup build (ComponentBuilder fed by the streaming
+// CorpusGen::generate)
+
+workload::CorpusConfig builder_corpus_config() {
+  workload::CorpusConfig cfg;
+  cfg.num_components = 5;
+  cfg.docs_per_component = 120;
+  cfg.vocab_size = 500;
+  cfg.num_topics = 8;
+  cfg.topic_vocab = 40;
+  cfg.seed = 31;
+  return cfg;
+}
+
+// Two one-worker groups, both on CPU 0 (parse_topology would dedupe the
+// repeat): two builds run side by side on any host.
+common::Topology two_groups_on_cpu0() {
+  common::Topology topo;
+  topo.node_cpus = {{0}, {0}};
+  return topo;
+}
+
+std::string saved_bytes(const SearchComponent& c) {
+  std::ostringstream os;
+  c.save(os);
+  return os.str();
+}
+
+TEST(ComponentBuilderTest, StreamedGenerateYieldsTheSameCorpus) {
+  const workload::CorpusGen gen(builder_corpus_config());
+  const auto wl = gen.generate(20);
+  std::vector<synopsis::SparseRows> streamed;
+  const auto queries =
+      gen.generate(20, [&streamed](synopsis::SparseRows shard) {
+        streamed.push_back(std::move(shard));
+      });
+  ASSERT_EQ(streamed.size(), wl.shards.size());
+  for (std::size_t c = 0; c < streamed.size(); ++c) {
+    ASSERT_EQ(streamed[c].cols(), wl.shards[c].cols());
+    ASSERT_EQ(streamed[c].rows(), wl.shards[c].rows());
+    for (std::uint32_t r = 0; r < streamed[c].rows(); ++r)
+      EXPECT_TRUE(streamed[c].row(r) == wl.shards[c].row(r))
+          << "shard " << c << " row " << r;
+  }
+  ASSERT_EQ(queries.size(), wl.queries.size());
+  for (std::size_t q = 0; q < queries.size(); ++q)
+    EXPECT_EQ(queries[q].terms, wl.queries[q].terms) << "query " << q;
+}
+
+TEST(ComponentBuilderTest, PipelinedBuildEqualsSerialBuild) {
+  const workload::CorpusGen gen(builder_corpus_config());
+  auto wl = gen.generate(20);
+  std::vector<SearchComponent> serial;
+  std::uint64_t base = 0;
+  for (auto& shard : wl.shards) {
+    const auto n = shard.rows();
+    serial.emplace_back(std::move(shard), base, test_build_config());
+    base += n;
+  }
+
+  common::ShardedExecutor exec(two_groups_on_cpu0());
+  ComponentBuilder builder(exec, test_build_config());
+  const auto queries =
+      gen.generate(20, [&builder](synopsis::SparseRows shard) {
+        builder.add(std::move(shard));
+      });
+  auto piped = builder.finish();
+
+  // Same artifact bytes: docs, doc id base, structure and synopsis.
+  ASSERT_EQ(piped.size(), serial.size());
+  for (std::size_t c = 0; c < piped.size(); ++c)
+    EXPECT_EQ(saved_bytes(piped[c]), saved_bytes(serial[c])) << "shard " << c;
+
+  const SearchService serial_svc(std::move(serial), 10);
+  const SearchService piped_svc(std::move(piped), 10);
+  for (const auto& q : queries) {
+    const auto want = serial_svc.exact_topk(q);
+    const auto got = piped_svc.exact_topk(q);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].doc, want[i].doc);
+      EXPECT_EQ(got[i].score, want[i].score);  // bitwise
+    }
+    const auto want_syn = serial_svc.synopsis_topk(q);
+    const auto got_syn = piped_svc.synopsis_topk(q);
+    ASSERT_EQ(got_syn.size(), want_syn.size());
+    for (std::size_t i = 0; i < want_syn.size(); ++i) {
+      EXPECT_EQ(got_syn[i].doc, want_syn[i].doc);
+      EXPECT_EQ(got_syn[i].score, want_syn[i].score);  // bitwise
+    }
+  }
+}
+
+TEST(ComponentBuilderTest, FailedShardSurfacesOnlyAfterTheOtherBuildsEnd) {
+  common::ShardedExecutor exec(two_groups_on_cpu0());
+  // Group 1's only worker waits for the gate before it builds anything.
+  std::promise<void> gate;
+  const std::shared_future<void> opened = gate.get_future().share();
+  exec.submit(1, [opened] { opened.wait(); });
+
+  auto wl = workload::CorpusGen(builder_corpus_config()).generate(0);
+  ComponentBuilder builder(exec, test_build_config());
+  // Shard 0 (group 0) has no rows, so its synopsis build throws; shard 1
+  // (group 1) waits behind the gate; shard 2 (group 0) builds.
+  builder.add(synopsis::SparseRows(wl.shards[0].cols()));
+  builder.add(std::move(wl.shards[1]));
+  builder.add(std::move(wl.shards[2]));
+  // Group 0 runs its queue in order: once this ends, shard 0 has failed
+  // and shard 2 is built.
+  exec.submit(0, [] {}).get();
+
+  auto finished = std::async(std::launch::async,
+                             [&builder] { return builder.finish(); });
+  EXPECT_EQ(finished.wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout)
+      << "finish() returned while shard 1 was still waiting to build";
+  gate.set_value();
+  EXPECT_THROW(finished.get(), std::invalid_argument);
 }
 
 }  // namespace

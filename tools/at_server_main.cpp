@@ -6,6 +6,12 @@
 //
 // Startup line (parsed by scripts):  LISTENING <port>
 //
+// Startup is a pipeline: the main thread generates the corpus shard by
+// shard, and each finished shard's component (SVD, R-tree, aggregation,
+// inverted index) builds on its home group of the executor that later runs
+// the updates, while the next shard is generated. The components, their doc
+// ids and the calibration queries equal a serial build's.
+//
 // Flags: --port N        bind port (default 0 = ephemeral)
 //        --components N  shard components (default 8)
 //        --docs N        docs per component (default 200)
@@ -21,10 +27,10 @@
 //                        per component + the global idf) into directory P
 //                        right after startup; prints "CHECKPOINT <dir>"
 //
-// A bad flag value (--components, --docs, --queue or --deadline not
-// positive, a --port outside 0-65535) or any setup failure prints
-// "at_server: <what>" and exits 1. A zero --queue or --deadline would shed
-// every request.
+// A bad flag value (a numeric flag that is not a whole number;
+// --components, --docs, --queue or --deadline not positive; a --port
+// outside 0-65535) or any setup failure prints "at_server: <what>" and
+// exits 1. A zero --queue or --deadline would shed every request.
 //
 // Fault injection: arm failpoints via AT_FAILPOINTS (see README).
 #include <csignal>
@@ -39,6 +45,7 @@
 #include "common/sharded_executor.h"
 #include "server/server.h"
 #include "services/recommender/service.h"
+#include "services/search/component_builder.h"
 #include "services/search/service.h"
 #include "workload/corpus.h"
 #include "workload/ratings.h"
@@ -54,50 +61,49 @@ int main(int argc, char** argv) {
   using namespace at;
   using namespace at::cli;
 
-  const long port = arg_long(argc, argv, "--port", 0);
-  const long components = arg_long(argc, argv, "--components", 8);
-  const long docs = arg_long(argc, argv, "--docs", 200);
-  const long queue = arg_long(argc, argv, "--queue", 64);
-  const long deadline = arg_long(argc, argv, "--deadline", 100);
-  const bool no_reco = arg_flag(argc, argv, "--no-reco");
-  const std::string delta_dir = arg_str(argc, argv, "--delta-dir", "");
-  const std::string ckpt_dir = arg_str(argc, argv, "--ckpt-dir", "");
+  pin_mmap_threshold();
 
   // Declared outside the try so they outlive it; destroyed in reverse
   // order, the server first.
-  std::unique_ptr<search::SearchService> search;
   std::unique_ptr<common::ShardedExecutor> exec;
+  std::unique_ptr<search::SearchService> search;
   std::unique_ptr<reco::CfService> reco;
   std::unique_ptr<server::Server> server;
   try {
+    const long port = arg_long(argc, argv, "--port", 0);
+    const long components = arg_long(argc, argv, "--components", 8);
+    const long docs = arg_long(argc, argv, "--docs", 200);
+    const long queue = arg_long(argc, argv, "--queue", 64);
+    const long deadline = arg_long(argc, argv, "--deadline", 100);
+    const bool no_reco = arg_flag(argc, argv, "--no-reco");
+    const std::string delta_dir = arg_str(argc, argv, "--delta-dir", "");
+    const std::string ckpt_dir = arg_str(argc, argv, "--ckpt-dir", "");
     require(components > 0, "--components must be positive");
     require(docs > 0, "--docs must be positive");
     require(queue > 0, "--queue must be positive");
     require(deadline > 0, "--deadline must be positive");
     require(port >= 0 && port <= 65535, "--port must be in 0-65535");
 
-    // Search corpus + service.
+    exec = std::make_unique<common::ShardedExecutor>();
+
+    // Search corpus + service, built as the corpus streams in.
     workload::CorpusConfig ccfg;
     ccfg.num_components = static_cast<std::size_t>(components);
     ccfg.docs_per_component = static_cast<std::size_t>(docs);
     ccfg.seed = 20160816;
     workload::CorpusGen gen(ccfg);
-    auto wl = gen.generate(16);  // the 16 queries seed calibration
 
     synopsis::BuildConfig bcfg;
     bcfg.svd.rank = 3;
     bcfg.svd.epochs_per_dim = 30;
     bcfg.size_ratio = 12.0;
 
-    std::vector<search::SearchComponent> comps;
-    std::uint64_t base = 0;
-    for (auto& shard : wl.shards) {
-      const auto n = shard.rows();
-      comps.emplace_back(std::move(shard), base, bcfg);
-      base += n;
-    }
-    search = std::make_unique<search::SearchService>(std::move(comps), 10);
-    exec = std::make_unique<common::ShardedExecutor>();
+    search::ComponentBuilder builder(*exec, bcfg);
+    // The 16 queries seed calibration.
+    auto queries = gen.generate(16, [&builder](synopsis::SparseRows shard) {
+      builder.add(std::move(shard));
+    });
+    search = std::make_unique<search::SearchService>(builder.finish(), 10);
     search->set_executor(exec.get());
 
     // Small CF recommender so the recommend op is live.
@@ -122,7 +128,7 @@ int main(int argc, char** argv) {
     scfg.max_queue = static_cast<std::size_t>(queue);
     scfg.default_deadline_ms = static_cast<double>(deadline);
     scfg.delta_dir = delta_dir;
-    scfg.calibration_queries = wl.queries;
+    scfg.calibration_queries = std::move(queries);
 
     server = std::make_unique<server::Server>(*search, reco.get(), *exec,
                                               scfg);

@@ -23,9 +23,10 @@
 //        --emit-deltas   promoted server keeps emitting deltas into the
 //                        tailed directory, continuing the primary's chain
 //
-// A bad flag value (a --port outside 0-65535; a --poll-ms, --queue or
-// --deadline not positive), a missing directory flag or a failed load
-// prints "at_standby: <what>" and exits 1.
+// A bad flag value (a numeric flag that is not a whole number; a --port
+// outside 0-65535; a --poll-ms, --queue or --deadline not positive), a
+// missing directory flag or a failed load prints "at_standby: <what>" and
+// exits 1.
 //
 // Fault injection: arm failpoints via AT_FAILPOINTS (standby.apply,
 // standby.promote; see README).
@@ -51,18 +52,20 @@ int main(int argc, char** argv) {
   using namespace at;
   using namespace at::cli;
 
-  const long port = arg_long(argc, argv, "--port", 0);
-  const long poll_ms = arg_long(argc, argv, "--poll-ms", 20);
-  const long queue = arg_long(argc, argv, "--queue", 64);
-  const long deadline = arg_long(argc, argv, "--deadline", 100);
-
-  server::StandbyConfig cfg;
-  cfg.checkpoint_dir = arg_str(argc, argv, "--ckpt-dir", "");
-  cfg.delta_dir = arg_str(argc, argv, "--delta-dir", "");
-  if (arg_flag(argc, argv, "--emit-deltas")) cfg.server.delta_dir = cfg.delta_dir;
+  pin_mmap_threshold();
 
   std::unique_ptr<server::StandbyReplica> standby;
   try {
+    const long port = arg_long(argc, argv, "--port", 0);
+    const long poll_ms = arg_long(argc, argv, "--poll-ms", 20);
+    const long queue = arg_long(argc, argv, "--queue", 64);
+    const long deadline = arg_long(argc, argv, "--deadline", 100);
+
+    server::StandbyConfig cfg;
+    cfg.checkpoint_dir = arg_str(argc, argv, "--ckpt-dir", "");
+    cfg.delta_dir = arg_str(argc, argv, "--delta-dir", "");
+    if (arg_flag(argc, argv, "--emit-deltas"))
+      cfg.server.delta_dir = cfg.delta_dir;
     require(!cfg.checkpoint_dir.empty() && !cfg.delta_dir.empty(),
             "--ckpt-dir and --delta-dir are required");
     require(port >= 0 && port <= 65535, "--port must be in 0-65535");
