@@ -12,6 +12,7 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <sstream>
 
 #include "bench/bench_common.h"
@@ -28,7 +29,7 @@ struct ServiceSummary {
   search::IndexSizeStats index_size;  // search service only
   /// Total component-snapshot artifact bytes per value codec (the state a
   /// builder ships to serving components).
-  std::size_t snapshot_bytes[3] = {0, 0, 0};
+  std::size_t snapshot_bytes[std::size(common::kAllCodecs)] = {};
 };
 
 /// Sums the per-codec artifact sizes of every component snapshot.
@@ -153,9 +154,7 @@ void write_json(const ServiceSummary& cf, const ServiceSummary& se) {
         s.snapshot_bytes[static_cast<std::size_t>(common::Codec::kRaw)];
     os << ",\n    \"snapshot_raw_bytes\": " << raw
        << ",\n    \"snapshot_shuffle_bytes\": "
-       << s.snapshot_bytes[static_cast<std::size_t>(common::Codec::kShuffle)]
-       << ",\n    \"snapshot_q8_bytes\": "
-       << s.snapshot_bytes[static_cast<std::size_t>(common::Codec::kQ8)];
+       << s.snapshot_bytes[static_cast<std::size_t>(common::Codec::kShuffle)];
     os << "\n  }" << (last ? "\n" : ",\n");
   };
   os << "{\n  \"bench\": \"bench_headline_summary\",\n"
@@ -208,15 +207,10 @@ int main() {
         s.snapshot_bytes[static_cast<std::size_t>(common::Codec::kRaw)];
     const auto shuffle =
         s.snapshot_bytes[static_cast<std::size_t>(common::Codec::kShuffle)];
-    const auto q8 =
-        s.snapshot_bytes[static_cast<std::size_t>(common::Codec::kQ8)];
     std::cout << "  " << name << " snapshot artifacts: raw " << raw
               << " B, shuffle " << shuffle << " B ("
               << common::TableWriter::fmt(
                      raw ? static_cast<double>(shuffle) / raw : 0.0, 3)
-              << "x), q8 " << q8 << " B ("
-              << common::TableWriter::fmt(
-                     raw ? static_cast<double>(q8) / raw : 0.0, 3)
               << "x)\n";
   };
   snapshot_line("CF", cf);

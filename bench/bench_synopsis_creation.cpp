@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <sstream>
 
 #include "bench/bench_common.h"
@@ -29,11 +30,6 @@ struct StepTimes {
   double svd_seed_s = 0.0;     // seed scalar kernel (pre-optimization)
   double svd_scalar_s = 0.0;   // CSR + cached residual, scalar dispatch tier
   double svd_s = 0.0;          // CSR + cached residual, best SIMD tier
-  double svd_hogwild_s = 0.0;  // CSR + cached-residual, hogwild on 4 threads
-  /// ROADMAP multi-core scaling curve: hogwild SVD wall clock per pool
-  /// size, 1..nproc (extend past nproc with AT_BENCH_THREADS to measure
-  /// oversubscription).
-  std::vector<std::pair<std::size_t, double>> hogwild_sweep;
   double rtree_s = 0.0;
   double aggregate_s = 0.0;
   std::size_t points = 0;
@@ -42,7 +38,7 @@ struct StepTimes {
   std::size_t input_entries = 0;
   /// Serialized SVD-model artifact size per value codec (same model,
   /// exact round-trip in every codec), plus the synopsis artifact.
-  std::size_t svd_artifact_bytes[3] = {0, 0, 0};
+  std::size_t svd_artifact_bytes[std::size(common::kAllCodecs)] = {};
   std::size_t synopsis_artifact_bytes = 0;
 
   double svd_codec_ratio(common::Codec codec) const {
@@ -75,33 +71,6 @@ StepTimes time_creation(const synopsis::SparseRows& rows,
     auto seed_svd = seed_incremental_svd(dataset, cfg.svd);
     t.svd_seed_s = w.elapsed_seconds();
     (void)seed_svd;
-  }
-  {
-    auto hw_cfg = cfg.svd;
-    hw_cfg.deterministic = false;
-    common::ThreadPool hw_pool(4);
-    w.reset();
-    auto hw_svd = linalg::incremental_svd(dataset, hw_cfg, &hw_pool);
-    t.svd_hogwild_s = w.elapsed_seconds();
-    (void)hw_svd;
-  }
-  {
-    // Thread-count sweep 1..nproc (ROADMAP "multi-core wall-clock
-    // measurement"): the hogwild scaling curve, best of 2 per point.
-    auto hw_cfg = cfg.svd;
-    hw_cfg.deterministic = false;
-    for (std::size_t threads = 1; threads <= sweep_max_threads();
-         ++threads) {
-      common::ThreadPool pool(threads);
-      double best = 1e300;
-      for (int rep = 0; rep < 2; ++rep) {
-        w.reset();
-        auto svd = linalg::incremental_svd(dataset, hw_cfg, &pool);
-        best = std::min(best, w.elapsed_seconds());
-        (void)svd;
-      }
-      t.hogwild_sweep.emplace_back(threads, best);
-    }
   }
   {
     const simd::Tier entry_tier = simd::active_tier();  // honor AT_SIMD
@@ -170,18 +139,6 @@ void report(const char* service, const StepTimes& t) {
                      "x vs seed, " +
                      common::TableWriter::fmt(t.svd_scalar_s / t.svd_s, 2) +
                      "x vs scalar tier"});
-  table.add_row({"1. SVD reduction (hogwild, 4 thr)",
-                 common::TableWriter::fmt(t.svd_hogwild_s, 3),
-                 common::TableWriter::fmt(t.svd_seed_s / t.svd_hogwild_s, 2) +
-                     "x vs seed"});
-  for (const auto& [threads, seconds] : t.hogwild_sweep) {
-    table.add_row(
-        {"1. SVD hogwild sweep (" + std::to_string(threads) + " thr)",
-         common::TableWriter::fmt(seconds, 3),
-         common::TableWriter::fmt(t.hogwild_sweep.front().second / seconds,
-                                  2) +
-             "x vs 1 thr"});
-  }
   table.add_row({"2. R-tree + index file",
                  common::TableWriter::fmt(t.rtree_s, 3),
                  "bulk load + level select"});
@@ -202,12 +159,6 @@ void report(const char* service, const StepTimes& t) {
             << " B ("
             << common::TableWriter::fmt(
                    t.svd_codec_ratio(common::Codec::kShuffle), 3)
-            << "x), q8="
-            << t.svd_artifact_bytes[static_cast<std::size_t>(
-                   common::Codec::kQ8)]
-            << " B ("
-            << common::TableWriter::fmt(t.svd_codec_ratio(common::Codec::kQ8),
-                                        3)
             << "x); synopsis artifact=" << t.synopsis_artifact_bytes << " B\n";
   std::cout << "  points=" << t.points << " groups=" << t.groups
             << " points/aggregated="
@@ -240,10 +191,6 @@ void write_json(const StepTimes& cf, const StepTimes& ws) {
        << "    \"svd_simd_tier_s\": " << t.svd_s << ",\n"
        << "    \"svd_simd_speedup_vs_scalar_tier\": "
        << t.svd_scalar_s / t.svd_s << ",\n"
-       << "    \"svd_hogwild_s\": " << t.svd_hogwild_s << ",\n"
-       << "    \"svd_hogwild_sweep\": ";
-    write_sweep_json(os, t.hogwild_sweep);
-    os << ",\n"
        << "    \"rtree_s\": " << t.rtree_s << ",\n"
        << "    \"aggregate_s\": " << t.aggregate_s << ",\n"
        << "    \"points\": " << t.points << ",\n"
@@ -254,9 +201,6 @@ void write_json(const StepTimes& cf, const StepTimes& ws) {
        << "    \"svd_artifact_shuffle_bytes\": "
        << t.svd_artifact_bytes[static_cast<std::size_t>(
               common::Codec::kShuffle)]
-       << ",\n"
-       << "    \"svd_artifact_q8_bytes\": "
-       << t.svd_artifact_bytes[static_cast<std::size_t>(common::Codec::kQ8)]
        << ",\n"
        << "    \"svd_artifact_shuffle_ratio\": "
        << t.svd_codec_ratio(common::Codec::kShuffle) << ",\n"

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 
@@ -37,17 +36,6 @@ constexpr std::uint8_t kPlanePacked = 2;  // dict (<=128 bytes) + packed ids
 /// and the sign lands in the already-incompressible mantissa-LSB plane.
 inline std::uint64_t rotl1(std::uint64_t x) { return (x << 1) | (x >> 63); }
 inline std::uint64_t rotr1(std::uint64_t x) { return (x >> 1) | (x << 63); }
-
-/// The postings tf quantization (services/search/postings_codec.h),
-/// restated here so the common layer does not depend on the search
-/// service: 1..255 for exactly-integral values, 0 = exception. The
-/// negated range test sends NaN to the exception path before the
-/// float->int cast (UB for unrepresentable values).
-inline std::uint8_t quantize_q8(double v) {
-  if (!(v >= 1.0 && v <= 255.0)) return 0;
-  const auto i = static_cast<std::uint32_t>(v);
-  return static_cast<double>(i) == v ? static_cast<std::uint8_t>(i) : 0;
-}
 
 void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   const auto* b = reinterpret_cast<const std::uint8_t*>(&v);
@@ -454,44 +442,8 @@ const char* codec_name(Codec c) {
       return "raw";
     case Codec::kShuffle:
       return "shuffle";
-    case Codec::kQ8:
-      return "q8";
   }
   return "?";
-}
-
-bool parse_codec(const char* spec, Codec* out) {
-  if (spec == nullptr) return false;
-  std::string s(spec);
-  for (char& c : s)
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  if (s == "raw") {
-    *out = Codec::kRaw;
-  } else if (s == "shuffle") {
-    *out = Codec::kShuffle;
-  } else if (s == "q8") {
-    *out = Codec::kQ8;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-Codec default_codec() {
-  static const Codec resolved = [] {
-    Codec c = Codec::kShuffle;
-    if (const char* spec = std::getenv("AT_ARTIFACT_CODEC")) {
-      if (!parse_codec(spec, &c)) {
-        std::fprintf(stderr,
-                     "warning: unrecognized AT_ARTIFACT_CODEC value \"%s\" "
-                     "(expected raw|shuffle|q8); using shuffle\n",
-                     spec);
-        c = Codec::kShuffle;
-      }
-    }
-    return c;
-  }();
-  return resolved;
 }
 
 void encode_f64(std::vector<std::uint8_t>& out, const double* v,
@@ -531,22 +483,6 @@ void encode_f64(std::vector<std::uint8_t>& out, const double* v,
       }
       break;
     }
-    case Codec::kQ8: {
-      const std::size_t code_base = out.size();
-      std::size_t exc_count = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint8_t code = quantize_q8(v[i]);
-        out.push_back(code);
-        if (code == 0) ++exc_count;
-      }
-      append_u64(out, exc_count);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (out[code_base + i] != 0) continue;
-        const auto* b = reinterpret_cast<const std::uint8_t*>(&v[i]);
-        out.insert(out.end(), b, b + sizeof(double));
-      }
-      break;
-    }
   }
 }
 
@@ -560,8 +496,7 @@ const std::uint8_t* decode_f64(const std::uint8_t* p, const std::uint8_t* end,
   const std::uint8_t codec = *p++;
   if (n == 0) {
     if (codec != static_cast<std::uint8_t>(Codec::kRaw) &&
-        codec != static_cast<std::uint8_t>(Codec::kShuffle) &&
-        codec != static_cast<std::uint8_t>(Codec::kQ8))
+        codec != static_cast<std::uint8_t>(Codec::kShuffle))
       throw ArtifactError("f64 codec: unknown codec byte");
     return p;
   }
@@ -587,28 +522,6 @@ const std::uint8_t* decode_f64(const std::uint8_t* p, const std::uint8_t* end,
       }
       for (auto& x : rot) x = rotr1(x);
       std::memcpy(out, rot.data(), n * sizeof(double));
-      return p;
-    }
-    case Codec::kQ8: {
-      need(n + sizeof(std::uint64_t));
-      const std::uint8_t* codes = p;
-      p += n;
-      std::uint64_t exc_count;
-      std::memcpy(&exc_count, p, sizeof exc_count);
-      p += sizeof exc_count;
-      std::size_t zeros = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        out[i] = static_cast<double>(codes[i]);
-        if (codes[i] == 0) ++zeros;
-      }
-      if (exc_count != zeros)
-        throw ArtifactError("q8 codec: exception count mismatch");
-      need(static_cast<std::size_t>(exc_count) * sizeof(double));
-      for (std::size_t i = 0; i < n; ++i) {
-        if (codes[i] != 0) continue;
-        std::memcpy(&out[i], p, sizeof(double));
-        p += sizeof(double);
-      }
       return p;
     }
   }

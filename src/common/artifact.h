@@ -19,7 +19,7 @@
 // file) are written sequentially between the parent's chunks; each nested
 // container carries its own header and checksums.
 //
-// Value codecs for f64 columns — all three round-trip bit-exactly:
+// Value codecs for f64 columns — both round-trip bit-exactly:
 //
 //   raw      the IEEE bytes verbatim. The reference for verification.
 //   shuffle  sign bit rotated to the mantissa end, then the smaller of
@@ -31,12 +31,8 @@
 //            the 11 exponent bits escape-coded against a frequency-sorted
 //            dictionary, the 53 mantissa+sign bits packed verbatim —
 //            wins on continuous data (SVD factors), whose mantissa noise
-//            caps any byte-granular scheme near 0.91x.
-//   q8       one byte per value for exactly-integral 1..255 values plus an
-//            exact-double exception side table — the postings tf codec's
-//            scheme applied to feature columns. Wins on count-like data
-//            (synopsis features), degenerates (but stays exact) on
-//            continuous data.
+//            caps any byte-granular scheme near 0.91x. Every save
+//            writes shuffle unless a caller asks for raw.
 //
 // Corrupt input throws ArtifactError (a std::runtime_error); decoders are
 // bounds-checked end to end so malformed bytes can never read out of
@@ -57,29 +53,20 @@ class ArtifactError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// CRC32C (Castagnoli) of a buffer, via the dispatched kernel (SSE4.2
-/// hardware crc32 when available; identical results in every tier).
+/// CRC32C (Castagnoli) of a buffer, via the dispatched kernel (hardware
+/// crc32 in the AVX2 tier; identical results in every tier).
 std::uint32_t crc32c(const void* data, std::size_t n);
 
 // ---------------------------------------------------------------------------
 // Value codecs
 // ---------------------------------------------------------------------------
 
-enum class Codec : std::uint8_t { kRaw = 0, kShuffle = 1, kQ8 = 2 };
-inline constexpr Codec kAllCodecs[] = {Codec::kRaw, Codec::kShuffle,
-                                       Codec::kQ8};
+/// Codec byte values are part of the format: any other byte (including 2,
+/// a retired codec) is rejected with ArtifactError.
+enum class Codec : std::uint8_t { kRaw = 0, kShuffle = 1 };
+inline constexpr Codec kAllCodecs[] = {Codec::kRaw, Codec::kShuffle};
 
 const char* codec_name(Codec c);
-
-/// Parses "raw" / "shuffle" / "q8" (case-insensitive). False on unknown.
-bool parse_codec(const char* spec, Codec* out);
-
-/// Process-wide default codec for f64 columns: the AT_ARTIFACT_CODEC
-/// environment variable when set and valid, else kShuffle (every codec
-/// decodes to the exact source doubles, so the default optimizes size;
-/// kRaw stays the byte-identity reference the parity tests verify
-/// against).
-Codec default_codec();
 
 /// Appends the self-describing encoding (1 codec byte + payload) of n
 /// doubles to `out`.
@@ -141,9 +128,15 @@ class ChunkWriter {
   const std::vector<std::uint8_t>& data() const { return buf_; }
 
  private:
+  // resize + memcpy rather than a range insert: GCC 12 at -O2 inlines the
+  // insert of a fixed 4/8-byte source and reports a false
+  // -Wstringop-overflow, which fails -Werror builds. An empty str/blob
+  // passes n == 0 with a possibly null pointer, which memcpy must not see.
   void raw(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    buf_.insert(buf_.end(), b, b + n);
+    if (n == 0) return;
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, p, n);
   }
   std::vector<std::uint8_t> buf_;
 };
@@ -184,12 +177,13 @@ class ChunkReader {
   }
 
   std::vector<double> vec_f64() {
-    // Forged-count guards, applied BEFORE allocating n doubles. raw and
-    // q8 spend at least 8 / 1 payload bytes per value, so their counts
-    // bound against the remaining payload. A shuffle column has no such
-    // floor (a constant-valued column encodes to ~90 bytes at any n —
-    // eight dict-packed planes with one-entry dicts), so it gets an
-    // absolute cap instead: 2^26 values, far above any real column here.
+    // Forged-count guards, applied BEFORE allocating n doubles. An unknown
+    // codec byte is rejected outright. raw spends 8 payload bytes per
+    // value, so its count bounds against the remaining payload. A shuffle
+    // column has no such floor (a constant-valued column encodes to ~90
+    // bytes at any n — eight dict-packed planes with one-entry dicts), so
+    // it gets an absolute cap instead: 2^26 values, far above any real
+    // column here.
     // Decoding allocates up to ~3.5x the column (v + the decoder's rot
     // and planes staging), so the cap bounds a worst-case forgery at
     // ~1.7 GiB of transient allocation rather than an OOM. The codec
@@ -199,10 +193,11 @@ class ChunkReader {
       throw ArtifactError("artifact chunk: f64 column implausibly large");
     if (n > 0 && remaining() > 0) {
       const std::uint8_t codec = buf_[pos_];  // decode_f64 re-validates
-      if ((codec == static_cast<std::uint8_t>(Codec::kRaw) &&
-           n > (remaining() - 1) / sizeof(double)) ||
-          (codec == static_cast<std::uint8_t>(Codec::kQ8) &&
-           n > remaining() - 1))
+      if (codec != static_cast<std::uint8_t>(Codec::kRaw) &&
+          codec != static_cast<std::uint8_t>(Codec::kShuffle))
+        throw ArtifactError("f64 codec: unknown codec byte");
+      if (codec == static_cast<std::uint8_t>(Codec::kRaw) &&
+          n > (remaining() - 1) / sizeof(double))
         throw ArtifactError("artifact chunk: f64 column overruns payload");
     }
     std::vector<double> v(static_cast<std::size_t>(n));

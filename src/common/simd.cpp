@@ -121,8 +121,8 @@ void scalar_u8_to_f64(double* out, const std::uint8_t* codes, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<double>(codes[i]);
 }
 
-// Mirrors the SSE shuffle decoder exactly: every group contributes all
-// four deltas (tail pads are zero by the encoder's contract) to the
+// Mirrors the AVX2 tier's pshufb decoder exactly: every group contributes
+// all four deltas (tail pads are zero by the encoder's contract) to the
 // running prev, and only real entries are stored.
 const std::uint8_t* scalar_decode_group_deltas(const std::uint8_t* p,
                                                std::uint32_t* ids,
@@ -163,8 +163,8 @@ const std::uint8_t* scalar_decode_u8_deltas(const std::uint8_t* p,
 namespace {
 
 // CRC32C (Castagnoli, polynomial 0x1EDC6F41 reflected to 0x82F63B78) —
-// the polynomial the SSE4.2 crc32 instruction implements, so the table
-// walk and the hardware tier agree bit for bit.
+// the polynomial the x86 crc32 instruction implements, so the table walk
+// and the AVX2 tier agree bit for bit.
 struct Crc32cTable {
   std::uint32_t t[256];
 };
@@ -239,8 +239,6 @@ const Kernels& table_for(Tier t) {
   switch (t) {
     case Tier::kAvx2:
       return avx2_kernels();
-    case Tier::kSse42:
-      return sse42_kernels();
     case Tier::kScalar:
       break;
   }
@@ -264,7 +262,7 @@ const Kernels* init_from_env() {
       // that force a tier rely on this warning to stay honest.
       std::fprintf(stderr,
                    "warning: unrecognized AT_SIMD value \"%s\" "
-                   "(expected scalar|sse42|avx2|auto); using %s\n",
+                   "(expected scalar|avx2|auto); using %s\n",
                    spec, tier_name(t));
     }
   }
@@ -281,7 +279,6 @@ const Kernels* init_from_env() {
 Tier max_supported_tier() {
 #if AT_SIMD_X86
   if (__builtin_cpu_supports("avx2")) return Tier::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return Tier::kSse42;
 #endif
   return Tier::kScalar;
 }
@@ -305,8 +302,6 @@ const char* tier_name(Tier t) {
   switch (t) {
     case Tier::kAvx2:
       return "avx2";
-    case Tier::kSse42:
-      return "sse42";
     case Tier::kScalar:
       break;
   }
@@ -319,8 +314,6 @@ bool parse_tier(const char* spec, Tier* out) {
   for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   if (s == "scalar") {
     *out = Tier::kScalar;
-  } else if (s == "sse42" || s == "sse4.2" || s == "sse") {
-    *out = Tier::kSse42;
   } else if (s == "avx2" || s == "avx") {
     *out = Tier::kAvx2;
   } else if (s == "auto" || s.empty()) {
@@ -335,8 +328,6 @@ bool tier_compiled(Tier t) {
   switch (t) {
     case Tier::kAvx2:
       return detail::avx2_compiled();
-    case Tier::kSse42:
-      return detail::sse42_compiled();
     case Tier::kScalar:
       break;
   }

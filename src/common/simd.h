@@ -4,27 +4,27 @@
 // One set of flat-array kernels backs the numeric hot loops — linalg
 // dot/norm/distance, the SVD residual-retire gather, the fused
 // decode-and-score scan over compressed postings, and the doc-norm pass in
-// index construction — with three implementation tiers selected once at
+// index construction — with two implementation tiers selected once at
 // startup:
 //
 //   tier      requires        notes
 //   scalar    nothing         portable reference, always available
-//   sse42     SSE4.2 (x86)    128-bit doubles + pshufb group-varint decode
-//   avx2      AVX2 (x86)      256-bit doubles + gathers (no FMA: kernels
-//                             must round exactly like the scalar tier)
+//   avx2      AVX2 (x86)      256-bit doubles + gathers, 128-bit pshufb
+//                             group-varint decode and hardware crc32 (no
+//                             FMA: kernels must round exactly like the
+//                             scalar tier)
 //
 // Every tier computes BIT-IDENTICAL results: element-wise kernels perform
 // the same IEEE operations in the same per-element order, and the one
 // reduction (dot) uses a fixed 4-lane decomposition in *all* tiers — four
 // stride-4 partial sums combined as (s0+s2)+(s1+s3), then the scalar tail
-// in sequence — so scalar, SSE (2x2 lanes) and AVX2 (4 lanes) round
-// identically. FMA is deliberately never used. The parity suites
-// (tests/simd_test.cpp) pin tf-idf/BM25 top-k and deterministic-SVD
-// factors across tiers bit for bit.
+// in sequence — so scalar and AVX2 (4 lanes) round identically. FMA is
+// deliberately never used. The parity suites (tests/simd_test.cpp) pin
+// tf-idf/BM25 top-k and SVD factors across tiers bit for bit.
 //
 // Selection: the highest tier the CPU supports, overridable with the
-// AT_SIMD environment variable ("scalar", "sse42", "avx2", "auto") and
-// from tests via set_tier(); requests above hardware support clamp down.
+// AT_SIMD environment variable ("scalar", "avx2", "auto") and from tests
+// via set_tier(); requests above hardware support clamp down.
 #pragma once
 
 #include <atomic>
@@ -33,7 +33,7 @@
 
 namespace at::simd {
 
-enum class Tier : int { kScalar = 0, kSse42 = 1, kAvx2 = 2 };
+enum class Tier : int { kScalar = 0, kAvx2 = 1 };
 
 /// Highest tier the running CPU supports (compile-target permitting).
 Tier max_supported_tier();
@@ -48,9 +48,9 @@ Tier set_tier(Tier t);
 
 const char* tier_name(Tier t);
 
-/// Parses an AT_SIMD-style spec ("scalar", "sse42"/"sse4.2", "avx2",
-/// "auto"; case-insensitive). Returns false on an unknown spec. "auto"
-/// parses to max_supported_tier().
+/// Parses an AT_SIMD-style spec ("scalar", "avx2", "auto";
+/// case-insensitive). Returns false on an unknown spec. "auto" parses to
+/// max_supported_tier().
 bool parse_tier(const char* spec, Tier* out);
 
 /// True when the named tier's kernels were actually compiled with the
@@ -106,7 +106,7 @@ struct Kernels {
   ///
   /// CONTRACT: `ids` must have room for n rounded up to a multiple of 4,
   /// and at least 16 bytes beyond each group's data must be readable (the
-  /// SSE tier loads full 16-byte windows). CompressedPostings pads its
+  /// AVX2 tier loads full 16-byte windows). CompressedPostings pads its
   /// pool accordingly; hand-built buffers in tests must do the same.
   const std::uint8_t* (*decode_group_deltas)(const std::uint8_t* p,
                                              std::uint32_t* ids,
@@ -119,7 +119,7 @@ struct Kernels {
                                           std::uint32_t* ids,
                                           std::uint32_t* prev, std::size_t n);
   /// Running CRC32C (Castagnoli, reflected). Callers seed with ~0u and
-  /// finalize with ~crc; the SSE4.2 tier uses the hardware crc32
+  /// finalize with ~crc; the AVX2 tier uses the hardware crc32
   /// instruction, which computes the exact same polynomial as the scalar
   /// table walk.
   std::uint32_t (*crc32c_update)(std::uint32_t crc, const std::uint8_t* p,

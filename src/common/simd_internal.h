@@ -1,7 +1,6 @@
-// Internal glue for the SIMD tier TUs: per-tier entry points assembled
-// into dispatch tables by simd.cpp. Scalar reference kernels are exposed
-// here too so the ISA TUs can fall back to them for operations their tier
-// does not accelerate (results are bit-identical either way).
+// Internal glue between simd.cpp and the AVX2 TU: the AVX2 dispatch table,
+// and the scalar reference kernels that TU falls back to when the compiler
+// cannot target AVX2 (results are bit-identical either way).
 #pragma once
 
 #include "common/simd.h"
@@ -57,33 +56,10 @@ void scalar_shuffle_u64(std::uint8_t* out, const std::uint64_t* in,
 void scalar_unshuffle_u64(std::uint64_t* out, const std::uint8_t* in,
                           std::size_t n);
 
-// Tier tables + compile markers (simd_sse42.cpp / simd_avx2.cpp). When the
-// TU could not be compiled for its ISA the table holds scalar fallbacks
-// and the marker is false.
-const Kernels& sse42_kernels();
-bool sse42_compiled();
+// AVX2 tier table + compile marker (simd_avx2.cpp). When the TU could not
+// be compiled for AVX2 the table holds scalar fallbacks and the marker is
+// false.
 const Kernels& avx2_kernels();
 bool avx2_compiled();
-
-// The SSE4.2 group-varint shuffle decode, reused verbatim by the AVX2
-// tier (128-bit pshufb is the sweet spot for 4-id groups).
-const std::uint8_t* sse42_decode_group_deltas(const std::uint8_t* p,
-                                              std::uint32_t* ids,
-                                              std::uint32_t* prev,
-                                              std::size_t n);
-const std::uint8_t* sse42_decode_u8_deltas(const std::uint8_t* p,
-                                           std::uint32_t* ids,
-                                           std::uint32_t* prev,
-                                           std::size_t n);
-
-// The SSE4.2 artifact-store kernels (hardware crc32 + the 8x8 byte
-// transpose), reused verbatim by the AVX2 tier — both are 128-bit
-// sweet-spot operations.
-std::uint32_t sse42_crc32c_update(std::uint32_t crc, const std::uint8_t* p,
-                                  std::size_t n);
-void sse42_shuffle_u64(std::uint8_t* out, const std::uint64_t* in,
-                       std::size_t n);
-void sse42_unshuffle_u64(std::uint64_t* out, const std::uint8_t* in,
-                         std::size_t n);
 
 }  // namespace at::simd::detail

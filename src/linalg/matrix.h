@@ -104,7 +104,7 @@ struct SparseDataset {
 /// Artifact-store persistence (kind "MATX"): chunked + checksummed, the
 /// element column through any of the exact f64 codecs.
 void save(std::ostream& os, const Matrix& m,
-          common::Codec codec = common::default_codec());
+          common::Codec codec = common::Codec::kShuffle);
 Matrix load_matrix(std::istream& is);
 
 /// Dot product via the dispatched SIMD kernels (common/simd.h). The

@@ -1,7 +1,5 @@
 #include "linalg/svd.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
@@ -51,47 +49,7 @@ struct EntryStream {
     num_rows = d->rows;
     count = d->col_idx.size();
   }
-
-  /// Row-range boundaries splitting the entries into `shards` roughly
-  /// entry-balanced contiguous chunks (hogwild shards own whole rows, so
-  /// row-factor updates never race — only column factors do).
-  std::vector<std::size_t> shard_bounds(std::size_t shards) const {
-    shards = std::max<std::size_t>(1, std::min(shards, num_rows));
-    std::vector<std::size_t> bounds(shards + 1, num_rows);
-    bounds[0] = 0;
-    std::size_t r = 0;
-    for (std::size_t s = 1; s < shards; ++s) {
-      const std::size_t target = s * count / shards;
-      while (r < num_rows && row_ptr[r] < target) ++r;
-      bounds[s] = r;
-    }
-    return bounds;
-  }
 };
-
-// Shared-factor access for the SGD sweep. The hogwild path (kRacy) goes
-// through relaxed atomics: the lost-update races on column factors are the
-// intended hogwild semantics, but bare loads/stores of a concurrently
-// written double are UB in the C++ memory model (and ThreadSanitizer
-// findings); relaxed atomics express exactly "tear-free, no ordering". The
-// sequential path compiles to the plain load/store it always was.
-template <bool kRacy>
-inline double shared_load(double& x) {
-  if constexpr (kRacy) {
-    return std::atomic_ref<double>(x).load(std::memory_order_relaxed);
-  } else {
-    return x;
-  }
-}
-
-template <bool kRacy>
-inline void shared_store(double& x, double v) {
-  if constexpr (kRacy) {
-    std::atomic_ref<double>(x).store(v, std::memory_order_relaxed);
-  } else {
-    x = v;
-  }
-}
 
 /// Everything one SGD sweep needs. Column c's factor for dimension d is
 /// colf[c * rank] (colf points at the factor matrix's column d).
@@ -110,38 +68,35 @@ struct SweepCtx {
   std::size_t d = 0;
 };
 
-// One shard's SGD sweep over the contiguous row range [r_lo, r_hi) for
-// dimension ctx.d. Iterating row-by-row keeps the row factor (and row
-// bias) in registers across the row's entries; with kRacy = false the
-// arithmetic sequence is bit-identical to the original per-entry
-// formulation (each shared value is read once per entry, exactly where the
-// reference formulation first read it).
-template <bool kRacy>
-double sweep_rows(const SweepCtx& ctx, std::size_t r_lo, std::size_t r_hi) {
+// One SGD sweep over every row for dimension ctx.d. Iterating
+// row-by-row keeps the row factor (and row bias) in registers across the
+// row's entries; the arithmetic sequence is bit-identical to the original
+// per-entry formulation (each shared value is read once per entry,
+// exactly where the reference formulation first read it).
+double sweep_rows(const SweepCtx& ctx, std::size_t num_rows) {
   const bool biases = ctx.col_bias != nullptr;
   double sq_err = 0.0;
-  for (std::size_t r = r_lo; r < r_hi; ++r) {
+  for (std::size_t r = 0; r < num_rows; ++r) {
     double p = (*ctx.row_factors)(r, ctx.d);
     double br = biases ? ctx.row_bias[r] : 0.0;
     for (std::size_t i = ctx.row_ptr[r]; i < ctx.row_ptr[r + 1]; ++i) {
       const std::uint32_t c = ctx.cols[i];
       double& qref = ctx.colf[c * ctx.rank];
-      const double q = shared_load<kRacy>(qref);
+      const double q = qref;
       double err = ctx.resid[i] - p * q;
       double bc = 0.0;
       if (biases) {
-        bc = shared_load<kRacy>(ctx.col_bias[c]);
+        bc = ctx.col_bias[c];
         err -= ctx.global_mean + br + bc;
       }
       sq_err += err * err;
       if (biases) {
         br += ctx.lr * (err - ctx.reg * br);
-        shared_store<kRacy>(ctx.col_bias[c],
-                            bc + ctx.lr * (err - ctx.reg * bc));
+        ctx.col_bias[c] = bc + ctx.lr * (err - ctx.reg * bc);
       }
       const double p_old = p;
       p += ctx.lr * (err * q - ctx.reg * p);
-      shared_store<kRacy>(qref, q + ctx.lr * (err * p_old - ctx.reg * q));
+      qref = q + ctx.lr * (err * p_old - ctx.reg * q);
     }
     (*ctx.row_factors)(r, ctx.d) = p;
     if (biases) ctx.row_bias[r] = br;
@@ -151,8 +106,7 @@ double sweep_rows(const SweepCtx& ctx, std::size_t r_lo, std::size_t r_hi) {
 
 }  // namespace
 
-SvdModel incremental_svd(const SparseDataset& data, const SvdConfig& config,
-                         common::ThreadPool* pool) {
+SvdModel incremental_svd(const SparseDataset& data, const SvdConfig& config) {
   if (config.rank == 0)
     throw std::invalid_argument("incremental_svd: rank must be >= 1");
   if (data.rows == 0 || data.cols == 0)
@@ -193,13 +147,6 @@ SvdModel incremental_svd(const SparseDataset& data, const SvdConfig& config,
   // step is O(1) instead of re-deriving a d-term dot product.
   std::vector<double> resid(es.vals, es.vals + es.count);
 
-  const std::size_t shards =
-      (!config.deterministic && pool != nullptr)
-          ? std::max<std::size_t>(1, std::min(pool->size(), es.num_rows))
-          : 1;
-  const std::vector<std::size_t> bounds = es.shard_bounds(shards);
-  std::vector<double> shard_sq(shards, 0.0);
-
   auto make_ctx = [&](std::size_t d) {
     SweepCtx ctx;
     ctx.row_ptr = es.row_ptr;
@@ -226,15 +173,7 @@ SvdModel incremental_svd(const SparseDataset& data, const SvdConfig& config,
     const SweepCtx ctx = make_ctx(d);
     double prev_rmse = -1.0;
     for (std::size_t epoch = 0; epoch < config.epochs_per_dim; ++epoch) {
-      if (shards == 1) {
-        shard_sq[0] = sweep_rows<false>(ctx, bounds[0], bounds[1]);
-      } else {
-        pool->parallel_for(shards, [&](std::size_t s) {
-          shard_sq[s] = sweep_rows<true>(ctx, bounds[s], bounds[s + 1]);
-        });
-      }
-      double sq = 0.0;
-      for (double s : shard_sq) sq += s;
+      const double sq = sweep_rows(ctx, es.num_rows);
       const double rmse = std::sqrt(sq / static_cast<double>(es.count));
       if (config.min_improvement > 0.0 && prev_rmse >= 0.0 &&
           prev_rmse - rmse < config.min_improvement) {
@@ -246,18 +185,11 @@ SvdModel incremental_svd(const SparseDataset& data, const SvdConfig& config,
     // reduction), so the SIMD gather kernel is bit-identical to the scalar
     // loop in every dispatch tier.
     const double* col_base = model.col_factors.row(0);
-    auto retire = [&](std::size_t s) {
-      for (std::size_t r = bounds[s]; r < bounds[s + 1]; ++r) {
-        const std::size_t lo = es.row_ptr[r];
-        simd::retire_axpy(resid.data() + lo, es.cols + lo,
-                          es.row_ptr[r + 1] - lo, col_base, rank, d,
-                          model.row_factors(r, d));
-      }
-    };
-    if (shards == 1) {
-      retire(0);
-    } else {
-      pool->parallel_for(shards, retire);
+    for (std::size_t r = 0; r < es.num_rows; ++r) {
+      const std::size_t lo = es.row_ptr[r];
+      simd::retire_axpy(resid.data() + lo, es.cols + lo,
+                        es.row_ptr[r + 1] - lo, col_base, rank, d,
+                        model.row_factors(r, d));
     }
   }
   model.train_rmse = reconstruction_rmse(model, data);

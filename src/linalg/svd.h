@@ -9,14 +9,12 @@
 // cost is O(#entries), independent of the dense u x v size, which is what
 // lets the paper finish the transform "within a few seconds".
 //
-// Two layout/scheduling optimizations over the textbook loop:
-//  * the residual left by the already-trained dimensions is cached per
-//    entry and updated once per dimension, so each SGD step costs O(1)
-//    instead of O(d) dot-product work;
-//  * epochs can run hogwild-style across contiguous entry shards on a
-//    thread pool (SvdConfig::deterministic = false); the default
-//    deterministic mode keeps the exact sequential entry order so results
-//    are reproducible and independent of the pool.
+// One layout optimization over the textbook loop: the residual left by
+// the already-trained dimensions is cached per entry and updated once per
+// dimension, so each SGD step costs O(1) instead of O(d) dot-product work.
+// Epochs visit the entries in sequential row-major order, so the factors
+// are bit-reproducible. Callers that build many components in parallel
+// run one SVD per component (services/search/component_builder.h).
 #pragma once
 
 #include <cstddef>
@@ -48,13 +46,6 @@ struct SvdConfig {
   /// generous raters, popular items) so the latent factors concentrate on
   /// interaction structure — usually a better reduction for grouping.
   bool use_biases = false;
-  /// When true (the default), SGD epochs process entries in the sequential
-  /// row-major order regardless of any thread pool, so factors are
-  /// bit-reproducible. When false and a pool is passed, epochs run
-  /// hogwild-style across entry shards: racy but convergent, and the
-  /// factor races are the only nondeterminism (fold-in stays exact either
-  /// way because rows train independently).
-  bool deterministic = true;
 };
 
 /// Result of a factorization:
@@ -79,18 +70,12 @@ struct SvdModel {
 /// factor matrices go through the chosen f64 codec, every chunk is
 /// CRC-checked.
 void save(std::ostream& os, const SvdModel& model,
-          common::Codec codec = common::default_codec());
+          common::Codec codec = common::Codec::kShuffle);
 SvdModel load_svd_model(std::istream& is);
 
-/// Trains a rank-`config.rank` factorization of the observed entries.
-/// `pool` enables hogwild sharding when config.deterministic is false.
-/// The hogwild path uses relaxed atomic loads/stores on the shared column
-/// factors (and column biases), so it is data-race-free in the C++ memory
-/// model — the *algorithmic* races (lost updates) are the intended hogwild
-/// semantics; the sequential/deterministic path stays plain (and
-/// bit-identical to previous releases).
-SvdModel incremental_svd(const SparseDataset& data, const SvdConfig& config,
-                         common::ThreadPool* pool = nullptr);
+/// Trains a rank-`config.rank` factorization of the observed entries, in
+/// sequential entry order (bit-reproducible).
+SvdModel incremental_svd(const SparseDataset& data, const SvdConfig& config);
 
 /// Root-mean-square reconstruction error of the model over the entries.
 double reconstruction_rmse(const SvdModel& model, const SparseDataset& data);

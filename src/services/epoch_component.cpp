@@ -33,7 +33,7 @@ ShardEpoch::ShardEpoch(synopsis::SparseRows rows,
       kind_(kind),
       rows_(std::make_shared<synopsis::SparseRows>(std::move(rows))),
       structure_(std::make_shared<synopsis::SynopsisStructure>(
-          synopsis::SynopsisBuilder(config).build(*rows_, pool))),
+          synopsis::SynopsisBuilder(config).build(*rows_))),
       synopsis_(std::make_shared<synopsis::Synopsis>(
           synopsis::aggregate_all(*rows_, structure_->index, kind, pool))) {}
 

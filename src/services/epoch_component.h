@@ -173,7 +173,7 @@ class EpochComponent {
   }
 
   void save(std::ostream& os,
-            common::Codec codec = common::default_codec()) const {
+            common::Codec codec = common::Codec::kShuffle) const {
     snapshot()->save(os, codec);
   }
 

@@ -63,7 +63,7 @@ class RecommenderSnapshot : public services::ShardEpoch {
   /// Persists the component (subset + synopsis structure + aggregated
   /// synopsis) as an artifact-store snapshot (kind "RCMP").
   void save(std::ostream& os,
-            common::Codec codec = common::default_codec()) const;
+            common::Codec codec = common::Codec::kShuffle) const;
 
  private:
   template <typename>

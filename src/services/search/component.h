@@ -100,7 +100,7 @@ class SearchSnapshot : public services::ShardEpoch {
   /// columns go through `codec`, every chunk is CRC-checked, and the
   /// inverted index is rebuilt on load.
   void save(std::ostream& os,
-            common::Codec codec = common::default_codec()) const;
+            common::Codec codec = common::Codec::kShuffle) const;
 
   /// Identical snapshot with a different corpus-global idf table: shares
   /// the docs, structure and synopsis and swaps the idf — no SVD retrain,

@@ -204,7 +204,7 @@ class CompressedPostings {
   /// Block-at-a-time decode-and-visit over one term's postings:
   /// `fn(const codec::BlockView&)` once per block, doc ids staged into an
   /// L1-resident buffer (group-varint blocks decode through the dispatched
-  /// SSE shuffle-table kernel; varint blocks through the scalar chain).
+  /// pshufb shuffle-table kernel; varint blocks through the scalar chain).
   /// Staging the ids first lets callers run vectorized kernels over the
   /// whole block — gathered norms, LUT-expanded tfs — instead of paying a
   /// decode/score dependency per posting.

@@ -60,15 +60,14 @@ std::size_t SynopsisBuilder::pick_level(const rtree::RTree& tree,
   return best_level;
 }
 
-SynopsisStructure SynopsisBuilder::build(const SparseRows& data,
-                                         common::ThreadPool* pool) const {
+SynopsisStructure SynopsisBuilder::build(const SparseRows& data) const {
   if (data.rows() == 0)
     throw std::invalid_argument("SynopsisBuilder::build: empty dataset");
 
   // Step 1: dimensionality reduction. The reduced dataset preserves
   // proximity: rows similar in the original space stay close in R^j.
   linalg::SvdModel svd =
-      linalg::incremental_svd(data.csr_dataset(), config_.svd, pool);
+      linalg::incremental_svd(data.csr_dataset(), config_.svd);
 
   // Step 2a: organize the reduced points with an R-tree (bulk-loaded; the
   // paper builds the initial tree offline in O(k log k)).

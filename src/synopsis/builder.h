@@ -9,7 +9,6 @@
 
 #include <cstdint>
 
-#include "common/thread_pool.h"
 #include "linalg/svd.h"
 #include "rtree/rtree.h"
 #include "synopsis/index_file.h"
@@ -57,11 +56,9 @@ class SynopsisBuilder {
   const BuildConfig& config() const { return config_; }
 
   /// Runs steps 1–2 on a subset of input data. The returned structure's
-  /// index file is guaranteed to partition the rows of `data`. When `pool`
-  /// is given it parallelizes the SVD (hogwild, only if the SVD config has
-  /// deterministic = false).
-  SynopsisStructure build(const SparseRows& data,
-                          common::ThreadPool* pool = nullptr) const;
+  /// index file is guaranteed to partition the rows of `data`. The SVD
+  /// runs sequentially; callers parallelize across components.
+  SynopsisStructure build(const SparseRows& data) const;
 
   /// Derives the index file for the structure's current tree/level.
   /// Exposed for the updater, which re-derives groups after mutations.

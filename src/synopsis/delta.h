@@ -47,7 +47,7 @@ struct DeltaArtifact {
 /// ArtifactError — serving must survive a standby stream that fails
 /// mid-publish (the epoch itself is already live; only the delta is lost).
 void save_delta(std::ostream& os, const DeltaArtifact& delta,
-                common::Codec codec = common::default_codec());
+                common::Codec codec = common::Codec::kShuffle);
 
 /// Reads one delta; throws common::ArtifactError on any corruption.
 DeltaArtifact load_delta(std::istream& is);

@@ -4,8 +4,8 @@
 //
 // Every artifact is written through the unified artifact store
 // (common/artifact.h): a chunked container with a kind/version header and
-// CRC32C-checked chunks, f64 columns going through a pluggable exact codec
-// (raw / shuffle / q8). A saved SynopsisStructure round-trips everything
+// CRC32C-checked chunks, f64 columns going through an exact codec
+// (shuffle, or raw). A saved SynopsisStructure round-trips everything
 // needed to (a) serve stage-1 queries and (b) continue incremental
 // updates: the SVD model, the reduced coordinates, the R-tree (with stable
 // node ids/versions so dirty-tracking survives the reload), the selected
@@ -46,7 +46,7 @@ void save(std::ostream& os, const Synopsis& synopsis);
 Synopsis load_synopsis(std::istream& is);
 
 void save(std::ostream& os, const SynopsisStructure& s,
-          common::Codec codec = common::default_codec());
+          common::Codec codec = common::Codec::kShuffle);
 SynopsisStructure load_structure(std::istream& is);
 
 }  // namespace at::synopsis

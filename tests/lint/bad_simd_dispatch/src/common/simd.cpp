@@ -1,14 +1,6 @@
 const Kernels kScalarKernels = {
     &scalar_dot,
 };
-const Kernels kSse42Kernels = {
-    &scalar_dot,
-    &scalar_scale,
-};
-const Kernels kSse42Fallback = {
-    &scalar_dot,
-    &scalar_scale,
-};
 const Kernels kAvx2Kernels = {
     &scalar_dot,
     &scalar_scale,

@@ -23,7 +23,6 @@ namespace {
 std::vector<simd::Tier> tiers_under_test() {
   std::vector<simd::Tier> tiers{simd::Tier::kScalar};
   const simd::Tier max = simd::max_supported_tier();
-  if (max >= simd::Tier::kSse42) tiers.push_back(simd::Tier::kSse42);
   if (max >= simd::Tier::kAvx2) tiers.push_back(simd::Tier::kAvx2);
   return tiers;
 }
@@ -67,15 +66,15 @@ TEST(SimdTier, ParseTierSpecs) {
   simd::Tier t;
   EXPECT_TRUE(simd::parse_tier("scalar", &t));
   EXPECT_EQ(t, simd::Tier::kScalar);
-  EXPECT_TRUE(simd::parse_tier("SSE4.2", &t));
-  EXPECT_EQ(t, simd::Tier::kSse42);
-  EXPECT_TRUE(simd::parse_tier("sse42", &t));
-  EXPECT_EQ(t, simd::Tier::kSse42);
   EXPECT_TRUE(simd::parse_tier("AVX2", &t));
   EXPECT_EQ(t, simd::Tier::kAvx2);
   EXPECT_TRUE(simd::parse_tier("auto", &t));
   EXPECT_EQ(t, simd::max_supported_tier());
   EXPECT_FALSE(simd::parse_tier("avx512", &t));
+  // There is no SSE4.2 tier: its spec is unrecognized, so AT_SIMD=sse42
+  // warns and keeps the default instead of silently selecting a tier.
+  EXPECT_FALSE(simd::parse_tier("sse42", &t));
+  EXPECT_FALSE(simd::parse_tier("SSE4.2", &t));
   EXPECT_FALSE(simd::parse_tier(nullptr, &t));
 }
 
@@ -88,7 +87,6 @@ TEST(SimdTier, SetTierClampsAndReports) {
   EXPECT_EQ(applied, std::min(simd::Tier::kAvx2, simd::max_supported_tier()));
   EXPECT_EQ(simd::active_tier(), applied);
   EXPECT_STREQ(simd::tier_name(simd::Tier::kScalar), "scalar");
-  EXPECT_STREQ(simd::tier_name(simd::Tier::kSse42), "sse42");
   EXPECT_STREQ(simd::tier_name(simd::Tier::kAvx2), "avx2");
 }
 
@@ -367,7 +365,6 @@ TEST(SimdParityMatrix, DeterministicSvdAndFoldInBitIdenticalInEveryTier) {
   linalg::SvdConfig cfg;
   cfg.rank = 3;
   cfg.epochs_per_dim = 25;
-  cfg.deterministic = true;
 
   // Fold-in input: a dozen appended rows.
   auto grown = rows;

@@ -15,7 +15,7 @@
 //                       errors.
 //   simd-dispatch       every kernel slot declared in src/common/simd.h
 //                       has an entry in each dispatch table (scalar,
-//                       sse42 + fallback, avx2 + fallback).
+//                       avx2 + fallback).
 //   banned-rand         rand() and default-seeded std::mt19937 outside
 //                       tests/ — all randomness flows through common/rng.h
 //                       so runs are reproducible.
@@ -399,8 +399,7 @@ void rule_simd(Linter* lint) {
 
   // Dispatch tables: `const Kernels k<Tier> = { &entry, ... };` — one
   // &-entry per slot, in every tier TU.
-  const char* kTables[] = {"kScalarKernels", "kSse42Kernels", "kSse42Fallback",
-                           "kAvx2Kernels", "kAvx2Fallback"};
+  const char* kTables[] = {"kScalarKernels", "kAvx2Kernels", "kAvx2Fallback"};
   for (const char* table : kTables) {
     bool found = false;
     for (const auto& f : lint->files) {
