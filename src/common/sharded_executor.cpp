@@ -25,13 +25,9 @@ ShardedExecutor::ShardedExecutor(const Topology& topo) {
     groups_.push_back(std::make_unique<ThreadPool>(
         topo.node_cpus[g],
         [g](std::size_t /*worker*/) { t_current_group = g; }));
+    cpus_.insert(cpus_.end(), topo.node_cpus[g].begin(),
+                 topo.node_cpus[g].end());
   }
-}
-
-std::size_t ShardedExecutor::total_workers() const {
-  std::size_t n = 0;
-  for (const auto& g : groups_) n += g->size();
-  return n;
 }
 
 std::size_t ShardedExecutor::current_group() { return t_current_group; }

@@ -33,7 +33,12 @@ class ShardedExecutor {
 
   std::size_t num_groups() const { return groups_.size(); }
   std::size_t group_size(std::size_t g) const { return groups_[g]->size(); }
-  std::size_t total_workers() const;
+  std::size_t total_workers() const { return cpus_.size(); }
+
+  /// The CPU each pool worker is pinned to: group 0's workers in order,
+  /// then group 1's, and so on. A simulated layout may list a CPU more
+  /// than once. The server pins its read workers to the same list.
+  const std::vector<int>& cpus() const { return cpus_; }
 
   ThreadPool& group(std::size_t g) { return *groups_[g]; }
 
@@ -75,6 +80,7 @@ class ShardedExecutor {
   static void wait_all(std::vector<std::future<void>>& futs);
 
   std::vector<std::unique_ptr<ThreadPool>> groups_;  // one per node
+  std::vector<int> cpus_;
 };
 
 }  // namespace at::common

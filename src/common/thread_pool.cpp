@@ -10,22 +10,27 @@
 
 namespace at::common {
 
-namespace {
-
 void pin_current_thread(int cpu) {
 #if defined(__linux__)
   cpu_set_t mask;
   CPU_ZERO(&mask);
   CPU_SET(cpu, &mask);
   // Best effort: an out-of-mask CPU or a restricted environment leaves the
-  // worker unpinned, which only costs locality, never correctness.
+  // thread unpinned, which only costs placement, never correctness.
   (void)pthread_setaffinity_np(pthread_self(), sizeof(mask), &mask);
 #else
   (void)cpu;
 #endif
 }
 
-}  // namespace
+void name_current_thread(const std::string& name) {
+#if defined(__linux__)
+  // pthread_setname_np refuses names over 15 characters outright.
+  (void)pthread_setname_np(pthread_self(), name.substr(0, 15).c_str());
+#else
+  (void)name;
+#endif
+}
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -61,6 +66,7 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::worker_loop(std::function<void(std::size_t)> on_start,
                              std::size_t index) {
+  name_current_thread("at-pool-" + std::to_string(index));
   if (on_start) on_start(index);
   for (;;) {
     std::function<void()> task;

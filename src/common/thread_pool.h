@@ -11,6 +11,7 @@
 #include <functional>
 #include <future>
 #include <queue>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,17 +19,28 @@
 
 namespace at::common {
 
+/// Pins the calling thread to logical CPU `cpu`, best effort: a failed
+/// sched_setaffinity (a CPU outside the process mask, a restricted
+/// environment) leaves the thread unpinned, and non-Linux builds never pin.
+void pin_current_thread(int cpu);
+
+/// Names the calling thread (cut to the 15 characters Linux keeps), so
+/// `top -H` and /proc/<pid>/task/*/comm tell the threads apart. Best
+/// effort, like pinning.
+void name_current_thread(const std::string& name);
+
 class ThreadPool {
  public:
-  /// threads == 0 means hardware_concurrency (at least 1).
+  /// threads == 0 means hardware_concurrency (at least 1). Worker i names
+  /// itself `at-pool-<i>`.
   explicit ThreadPool(std::size_t threads = 0);
 
-  /// Spawns one worker per entry of `pin_cpus`, each pinned (best effort —
-  /// a failed sched_setaffinity is ignored, non-Linux builds never pin) to
-  /// that logical CPU. The same CPU may appear repeatedly (simulated
-  /// multi-node layouts on small machines). When `on_worker_start` is set
-  /// it runs first inside each new worker thread, with the worker's index;
-  /// the executor uses it to label workers with their home node.
+  /// Spawns one worker per entry of `pin_cpus`, each pinned (best effort,
+  /// see pin_current_thread) to that logical CPU. The same CPU may appear
+  /// repeatedly (simulated multi-node layouts on small machines). When
+  /// `on_worker_start` is set it runs first inside each new worker thread,
+  /// with the worker's index; the executor uses it to label workers with
+  /// their home node.
   explicit ThreadPool(const std::vector<int>& pin_cpus,
                       std::function<void(std::size_t)> on_worker_start = {});
 

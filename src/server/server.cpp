@@ -21,6 +21,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "linalg/matrix.h"
 #include "synopsis/delta.h"
 
@@ -154,15 +155,29 @@ void Server::start() {
   }
 
   stopping_.store(false);
-  // The read queue gets one worker per executor CPU; the one writer lane
-  // keeps updates in arrival order, off the read workers.
-  reader_ = std::make_unique<WorkQueue>(exec_.total_workers());
+  // The read queue gets one worker per executor CPU, pinned to that CPU
+  // (see server.h); the one writer lane keeps updates in arrival order,
+  // off the read workers. A worker pins itself before it takes its name,
+  // so a thread named at-read-<w> is already placed.
+  const std::vector<int>& cpus = exec_.cpus();
+  reader_ = std::make_unique<WorkQueue>(cpus.size());
   writer_ = std::make_unique<WorkQueue>(1);
-  for (std::size_t w = 0; w < reader_->workers; ++w)
-    workers_.emplace_back([this] { worker_loop(*reader_); });
-  workers_.emplace_back([this] { worker_loop(*writer_); });
+  for (std::size_t w = 0; w < reader_->workers; ++w) {
+    workers_.emplace_back([this, w, cpu = cpus[w]] {
+      common::pin_current_thread(cpu);
+      common::name_current_thread("at-read-" + std::to_string(w));
+      worker_loop(*reader_);
+    });
+  }
+  workers_.emplace_back([this] {
+    common::name_current_thread("at-write");
+    worker_loop(*writer_);
+  });
   running_.store(true, std::memory_order_release);
-  acceptor_ = std::thread([this] { acceptor_loop(); });
+  acceptor_ = std::thread([this] {
+    common::name_current_thread("at-accept");
+    acceptor_loop();
+  });
   AT_LOG_DEBUG << "server: listening on " << config_.host << ":" << port_;
 }
 
@@ -296,8 +311,10 @@ void Server::acceptor_loop() {
     Connection* raw = conn.get();
     common::MutexLock lock(conn_mutex_);
     connections_.push_back(std::move(conn));
-    raw->thread =
-        std::thread([this, fd, conn_id] { connection_loop(fd, conn_id); });
+    raw->thread = std::thread([this, fd, conn_id] {
+      common::name_current_thread("at-conn");
+      connection_loop(fd, conn_id);
+    });
   }
 }
 

@@ -4,24 +4,27 @@
 //
 // Threading: one acceptor thread; one frame-I/O thread per connection;
 // one bounded read queue drained by W read workers, W = the executor's
-// CPU count (ShardedExecutor::total_workers); and one writer lane, a FIFO
-// queue with one thread, that runs every kUpdate. A read worker runs each
-// search or recommend to completion on its own, unpinned thread, so a
-// per-group read queue would buy no locality. A publish never holds a
-// read worker, and updates still apply one at a time in arrival order.
+// CPU count (ShardedExecutor::cpus); and one writer lane, a FIFO queue
+// with one thread, that runs every kUpdate. A publish never holds a read
+// worker, and updates still apply one at a time in arrival order. Each
+// thread names itself (at-accept, at-conn, at-read-<w>, at-write), so
+// `top -H` shows which one is busy.
+//
+// Read worker w is pinned to the executor's w-th CPU: one worker per CPU.
+// Left unpinned, the kernel kept all the read workers and connection
+// threads on one of the benchmark server's three CPUs in most server
+// processes, so on `burst` each worker spent about as long runnable but
+// waiting for that CPU as it spent running, while the other two CPUs sat
+// idle. Pinned, each worker waits a small fraction of its run time, and
+// the share of `burst` searches that meet their deadline rose from 0.78
+// to 0.96 (medians of 10 paired runs, server on 3 vCPUs of a 4-vCPU
+// Xeon). The connection threads stay unpinned.
 //
 // No read fans out: the full scan, the synopsis rung and both recommend
 // rungs each walk the components in order on the read worker, and the
 // executor pool runs only updates' heavy phases. Fanning a query across
 // the pool trims its latency a little but costs about twice the CPU, and
-// under overload the CPU is what the deadlines wait for. On the
-// benchmark's `burst` workload (single 15 s runs, server on 3 vCPUs of a
-// 4-vCPU Xeon), the share of searches that met their deadline was 0.762
-// with one worker fanning out every query, 0.834 with 3 workers that each
-// fan out, 0.841 with 3 workers that fan out only when the read queue is
-// empty, and 0.932 with 3 workers that run each query to completion. The
-// adaptive rule fails here because each connection holds one request at a
-// time: the read queue looks empty while the burst waits in the sockets.
+// under overload the CPU is what the deadlines wait for.
 //
 // Admission control runs at enqueue time: a request whose deadline is
 // already unmeetable given the queue ahead of it (its depth times the

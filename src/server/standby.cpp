@@ -11,6 +11,7 @@
 #include "common/artifact.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "linalg/matrix.h"
 #include "synopsis/delta.h"
 
@@ -159,7 +160,10 @@ void StandbyReplica::start() {
                              to_string(state_));
   if (tailer_.joinable()) return;  // already tailing
   stop_tailer_ = false;
-  tailer_ = std::thread([this] { tail_loop(); });
+  tailer_ = std::thread([this] {
+    common::name_current_thread("at-tail");
+    tail_loop();
+  });
 }
 
 void StandbyReplica::tail_loop() {

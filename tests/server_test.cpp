@@ -1,15 +1,16 @@
 // Serving front end tests: wire protocol round-trips and malformed-frame
 // fuzzing, frame reassembly, admission control, read workers serving in
-// parallel, the degradation ladder under injected faults (dead component
-// scans, artifact errors, socket resets, short writes), cache staleness
-// via data epochs, updates on the writer lane, component reloads, and
-// shutdown under load. The fault-injection cases all assert
-// the same contract: degraded-or-error, never a crash, and full recovery
-// once the failpoint clears.
+// parallel and pinned one per CPU, the degradation ladder under injected
+// faults (dead component scans, artifact errors, socket resets, short
+// writes), cache staleness via data epochs, updates on the writer lane,
+// component reloads, and shutdown under load. The fault-injection cases
+// all assert the same contract: degraded-or-error, never a crash, and
+// full recovery once the failpoint clears.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -23,6 +24,7 @@
 #include <filesystem>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -647,6 +649,50 @@ TEST_F(ServerTest, ReadWorkersServeInParallelOnAnyHost) {
     EXPECT_EQ(resps[t].status, Status::kOk) << "search " << t;
     EXPECT_LT(resps[t].server_ms, 300.0) << "search " << t;
   }
+}
+
+/// Thread ids of this process's threads named at-read-<w>.
+std::vector<pid_t> read_worker_tids() {
+  std::vector<pid_t> tids;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string name;
+    if (std::getline(comm, name) && name.rfind("at-read-", 0) == 0)
+      tids.push_back(std::stoi(task.path().filename().string()));
+  }
+  return tids;
+}
+
+TEST_F(ServerTest, ReadWorkersArePinnedOnePerCpu) {
+  // Read worker w is pinned to the executor's w-th CPU, so the workers
+  // cover the executor's CPU list one to one. Left unpinned, the kernel
+  // kept them all on one CPU under load. A worker pins itself before it
+  // names itself, so every at-read-<w> thread found here is placed.
+  auto& fx = fixture();
+  Server srv(*fx.service, nullptr, *fx.exec, test_server_config());
+  srv.start();
+  std::vector<int> want = fx.exec->cpus();
+  std::vector<pid_t> tids = read_worker_tids();
+  for (int i = 0; i < 500 && tids.size() < want.size(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    tids = read_worker_tids();
+  }
+  ASSERT_EQ(tids.size(), want.size());
+  std::vector<int> got;
+  for (const pid_t tid : tids) {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    ASSERT_EQ(::sched_getaffinity(tid, sizeof set, &set), 0);
+    ASSERT_EQ(CPU_COUNT(&set), 1) << "read worker " << tid;
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &set)) got.push_back(c);
+    }
+  }
+  srv.stop();
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(got, want);
 }
 
 // ---------------------------------------------------------------------------
